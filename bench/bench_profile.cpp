@@ -29,7 +29,7 @@ int main() {
   obs::ProfileOptions opt;
   opt.steps = 2;
   opt.world = 2;
-  opt.chunks = 4;
+  opt.cfg.chunks_per_rank = 4;
   opt.chunk_tokens = 64;
   opt.trace_path = "BENCH_profile_trace.json";
   opt.metrics_path = "BENCH_profile.json";

@@ -5,7 +5,9 @@
 #   - trace.json has events from all four built-in categories (stream,
 #     chunk, comm, memory) on at least two rank processes;
 #   - metrics.json's overlap ratio equals hidden/(h2d+d2h) from the same
-#     step stats, and exposed transfer time stays under a sanity ceiling.
+#     step stats, and exposed transfer time stays under a sanity ceiling;
+#   - a 1-step run of each baseline strategy (ulysses, megatron-sp, ring)
+#     writes two valid JSON documents.
 #
 #   ci/profile_smoke.sh [build_dir]   # default: build
 set -euo pipefail
@@ -61,3 +63,13 @@ assert abs(g - steps[-1]["overlap_ratio"]) < 1e-9, \
     f"registry overlap gauge {g} disagrees with step stats {steps[-1]['overlap_ratio']}"
 print("profile_smoke: categories, ranks, and overlap invariants all hold")
 EOF
+
+for strategy in ulysses megatron-sp ring; do
+  out="$workdir/$strategy"
+  mkdir -p "$out"
+  (cd "$out" && "$FPDT" profile --strategy "$strategy" --steps 1 --gpus 2 --chunks 4 \
+    --chunk-tokens 64 > /dev/null)
+  python3 -m json.tool "$out/trace.json" > /dev/null
+  python3 -m json.tool "$out/metrics.json" > /dev/null
+done
+echo "profile_smoke: ulysses, megatron-sp and ring documents are valid JSON"

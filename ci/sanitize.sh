@@ -19,10 +19,12 @@ run_lane() {
   cmake -B "$dir" -S . -DFPDT_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j
   # The suites that exercise shared state across the emulated ranks: the
-  # stream/prefetch engine, the thread pool, the chunked executors, and the
-  # tracer/metrics layer that all of them publish into concurrently.
+  # stream/prefetch engine, the thread pool, the chunked executors, the
+  # baseline executors and the one training loop every strategy runs
+  # through, and the tracer/metrics layer that all of them publish into
+  # concurrently.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-    -R 'Stream|Prefetch|ThreadPool|MemoryPool|ChunkStore|Fpdt|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
+    -R 'Stream|Prefetch|ThreadPool|MemoryPool|ChunkStore|Fpdt|Baseline|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
   # Kernel-backend matrix: the math-kernel suites must hold under both the
   # scalar reference and the simd backend. The simd lane is the one that can
   # race — its GEMM/attention forks rows across the thread pool — so TSan
@@ -47,7 +49,8 @@ run_lane() {
       > /dev/null
   done
   # End-to-end profiler smoke under the sanitizer: traces a 2-step run and
-  # checks the emitted JSON documents and overlap invariants.
+  # checks the emitted JSON documents and overlap invariants, then one step
+  # of each baseline strategy.
   ci/profile_smoke.sh "$dir"
   # Fault-injection smoke under the sanitizer: survives a seeded chaos run
   # with all faults recovered and the final loss bitwise-clean. Races in the

@@ -32,18 +32,26 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/block_executor.h"
 #include "core/chunk_store.h"
 #include "core/fpdt_env.h"
 #include "nn/transformer_block.h"
 
 namespace fpdt::core {
 
-class FpdtBlockExecutor {
+class FpdtBlockExecutor : public BlockExecutor {
  public:
   // layer_index only namespaces chunk keys (debuggability).
   FpdtBlockExecutor(nn::TransformerBlock& block, std::int64_t layer_index, FpdtEnv& env);
+
+  // BlockExecutorFactory for core::FpdtTrainer.
+  static std::unique_ptr<BlockExecutor> create(nn::TransformerBlock& block,
+                                               std::int64_t layer_index, FpdtEnv& env) {
+    return std::make_unique<FpdtBlockExecutor>(block, layer_index, env);
+  }
 
   // x_local: one [s_local, d] tensor per rank in rank-ordinal chunk layout.
   // Returns per-rank block outputs.
@@ -52,13 +60,13 @@ class FpdtBlockExecutor {
   // q̂/k̂/v̂/ô/lse/y caches (offloaded to host) so the next backward() starts
   // directly from them; otherwise nothing is kept (plain activation
   // checkpointing) and backward() recomputes the forward chunk-wise first.
-  std::vector<Tensor> forward(const std::vector<Tensor>& x_local);
+  std::vector<Tensor> forward(const std::vector<Tensor>& x_local) override;
 
   // dz_local: per-rank gradient of the block output. Consumes the forward
   // caches when present, else recomputes; accumulates weight gradients,
   // returns per-rank dx.
   std::vector<Tensor> backward(const std::vector<Tensor>& dz_local,
-                               const std::vector<Tensor>& x_local);
+                               const std::vector<Tensor>& x_local) override;
 
   // Host bytes currently held by this block's caches (0 when not caching).
   std::int64_t cached_host_bytes() const;

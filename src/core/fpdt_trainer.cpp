@@ -21,13 +21,13 @@ void trace_phase_span(FpdtEnv& env, int rank, const char* label, double flops) {
 }  // namespace
 
 FpdtTrainer::FpdtTrainer(nn::Model& model, int world, FpdtConfig cfg,
-                         std::int64_t hbm_capacity_bytes)
+                         std::int64_t hbm_capacity_bytes, BlockExecutorFactory make_executor)
     : model_(&model),
       env_(world, cfg, hbm_capacity_bytes),
       sharder_(world, cfg.chunks_per_rank) {
   executors_.reserve(model.blocks().size());
   for (std::size_t l = 0; l < model.blocks().size(); ++l) {
-    executors_.emplace_back(model.blocks()[l], static_cast<std::int64_t>(l), env_);
+    executors_.push_back(make_executor(model.blocks()[l], static_cast<std::int64_t>(l), env_));
   }
   if (cfg.zero_stage >= 0) {
     zero_ = std::make_unique<zero::ZeroEngine>(model, env_,
@@ -94,7 +94,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
       zero::GroupScope zs(zero_.get(), "block" + std::to_string(l), walk_block(l),
                           /*grad_bucket=*/false);
       block_inputs.push_back(h);
-      h = executors_[l].forward(h);
+      h = executors_[l]->forward(h);
     }
   }
 
@@ -132,7 +132,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
     for (std::size_t l = executors_.size(); l-- > 0;) {
       zero::GroupScope zs(zero_.get(), "block" + std::to_string(l), walk_block(l),
                           /*grad_bucket=*/true);
-      dh = executors_[l].backward(dh, block_inputs[l]);
+      dh = executors_[l]->backward(dh, block_inputs[l]);
     }
   }
 

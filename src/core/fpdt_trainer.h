@@ -1,12 +1,13 @@
-// FpdtTrainer — end-to-end FPDT training step over an emulated
-// sequence-parallel group.
+// FpdtTrainer — the one end-to-end training step over an emulated
+// sequence-parallel group; every strategy is a preset of it
+// (parallel/strategy.h).
 //
 // Wraps an existing nn::Model (weights are shared, not copied) and executes
-// its training step with the full FPDT pipeline:
-//   - rank-ordinal sharding of inputs and labels (Fig. 6),
+// its training step:
+//   - rank-ordinal sharding of inputs and labels (Fig. 6; contiguous at u=1),
 //   - per-rank embedding,
-//   - every Transformer block through FpdtBlockExecutor (chunked, offloaded,
-//     activation-checkpointed),
+//   - every Transformer block through a BlockExecutor from the factory
+//     (FpdtBlockExecutor by default: chunked, offloaded, checkpointed),
 //   - per-rank final norm and chunked loss head (§5.4 rule),
 //   - full backward to embedding gradients.
 //
@@ -20,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/block_executor.h"
 #include "core/fpdt_block.h"
 #include "core/fpdt_env.h"
 #include "data/rank_ordinal.h"
@@ -33,7 +35,8 @@ class FpdtTrainer {
   // hbm_capacity < 0 = unlimited. A finite capacity makes the trainer throw
   // OutOfMemoryError exactly where a real run would OOM.
   FpdtTrainer(nn::Model& model, int world, FpdtConfig cfg,
-              std::int64_t hbm_capacity_bytes = -1);
+              std::int64_t hbm_capacity_bytes = -1,
+              BlockExecutorFactory make_executor = &FpdtBlockExecutor::create);
 
   // tokens: s_global + 1 ids with s_global divisible by world * u.
   // Returns mean token loss; accumulates grads into the wrapped model.
@@ -60,7 +63,7 @@ class FpdtTrainer {
   nn::Model* model_;
   FpdtEnv env_;
   data::RankOrdinalSharder sharder_;
-  std::vector<FpdtBlockExecutor> executors_;
+  std::vector<std::unique_ptr<BlockExecutor>> executors_;
   std::unique_ptr<zero::ZeroEngine> zero_;
 };
 

@@ -12,7 +12,6 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
-#include "core/fpdt_config.h"
 #include "kernels/backend.h"
 #include "kernels/op_cost.h"
 #include "obs/profiler.h"
@@ -47,24 +46,6 @@ std::string git_rev() {
   return (rc == 0 && !rev.empty()) ? rev : "unknown";
 }
 
-// The FpdtConfig run_profile builds from these options — the snapshot's
-// config identity string (one string per distinct executed behavior).
-std::string canonical_of(const ProfileOptions& opt) {
-  core::FpdtConfig fcfg;
-  fcfg.chunks_per_rank = opt.chunks;
-  fcfg.offload = opt.offload;
-  fcfg.double_buffer = opt.double_buffer;
-  fcfg.stream_prefetch = opt.offload;
-  fcfg.cache_forward_outputs = opt.cache_fwd;
-  fcfg.ffn_chunk_multiplier = opt.ffn_chunk_multiplier;
-  fcfg.lm_head_chunks = opt.lm_head_chunks;
-  fcfg.zero_stage = opt.zero_stage;
-  fcfg.kernel_backend = opt.kernel_backend;
-  fcfg.ranks_per_node = opt.ranks_per_node;
-  fcfg.head_degree = opt.head_degree;
-  return fcfg.canonical();
-}
-
 // Profiles `opt` and folds the last step's stats into a suite row. Tracing
 // is on (no files written) so the trainer's phase spans price embed/loss
 // work into the virtual clock exactly as `fpdt profile` does.
@@ -77,8 +58,8 @@ BenchSuiteResult run_suite(std::string suite, ProfileOptions opt) {
 
   BenchSuiteResult r;
   r.suite = std::move(suite);
-  r.backend = opt.kernel_backend.empty() ? kernels::active_name() : opt.kernel_backend;
-  r.config = canonical_of(opt);
+  r.backend = opt.cfg.kernel_backend.empty() ? kernels::active_name() : opt.cfg.kernel_backend;
+  r.config = profile_config(opt).canonical();
   r.wall_s = st.wall_s;
   r.cpu_s = st.cpu_s;
   r.parallel_efficiency = st.parallel_efficiency;
@@ -102,7 +83,7 @@ BenchSuiteResult run_suite(std::string suite, ProfileOptions opt) {
 ProfileOptions attn_suite(std::uint64_t seed, int steps) {
   ProfileOptions o;
   o.model = nn::tiny_gpt(32, 1, 2, 64);  // narrow model, long chunks:
-  o.chunks = 2;                          // attention's s^2 term dominates
+  o.cfg.chunks_per_rank = 2;             // attention's s^2 term dominates
   o.chunk_tokens = 256;
   o.world = 2;
   o.steps = steps;
@@ -113,7 +94,7 @@ ProfileOptions attn_suite(std::uint64_t seed, int steps) {
 ProfileOptions gemm_suite(std::uint64_t seed, int steps) {
   ProfileOptions o;
   o.model = nn::tiny_gpt(128, 2, 4, 96);  // wide model, short sequence:
-  o.chunks = 2;                           // projection/FFN GEMMs dominate
+  o.cfg.chunks_per_rank = 2;              // projection/FFN GEMMs dominate
   o.chunk_tokens = 16;
   o.world = 2;
   o.steps = steps;
@@ -123,11 +104,11 @@ ProfileOptions gemm_suite(std::uint64_t seed, int steps) {
 
 ProfileOptions overlap_suite(std::uint64_t seed, int steps) {
   ProfileOptions o;  // default tiny model; the point is the streaming path
-  o.chunks = 8;
+  o.cfg.chunks_per_rank = 8;
   o.chunk_tokens = 64;
   o.world = 2;
-  o.offload = true;
-  o.double_buffer = true;
+  o.cfg.offload = true;
+  o.cfg.double_buffer = true;
   o.steps = steps;
   o.seed = seed;
   return o;
@@ -140,11 +121,11 @@ ProfileOptions overlap_suite(std::uint64_t seed, int steps) {
 // suite tracks is the routing's virtual-clock cost and link occupancy.
 ProfileOptions topo_suite(std::uint64_t seed, int steps) {
   ProfileOptions o;  // default tiny model (4 heads)
-  o.chunks = 4;
+  o.cfg.chunks_per_rank = 4;
   o.chunk_tokens = 64;
   o.world = 4;
-  o.ranks_per_node = 2;
-  o.head_degree = 2;
+  o.cfg.ranks_per_node = 2;
+  o.cfg.head_degree = 2;
   o.steps = steps;
   o.seed = seed;
   return o;
@@ -189,17 +170,8 @@ BenchSuiteResult tune_warm_suite(std::uint64_t seed) {
   o.world = req.world;
   o.steps = 1;
   o.seed = seed;
-  if (warm.winner >= 0) {
-    const core::FpdtConfig win = warm.winning_config();
-    o.chunks = win.chunks_per_rank;
-    o.offload = win.offload;
-    o.double_buffer = win.double_buffer;
-    o.cache_fwd = win.cache_forward_outputs;
-    o.ffn_chunk_multiplier = win.ffn_chunk_multiplier;
-    o.lm_head_chunks = win.lm_head_chunks;
-    o.zero_stage = win.zero_stage;
-  }
-  o.chunk_tokens = req.s_global / (static_cast<std::int64_t>(req.world) * o.chunks);
+  if (warm.winner >= 0) o.cfg = warm.winning_config();
+  o.chunk_tokens = req.s_global / (static_cast<std::int64_t>(req.world) * o.cfg.chunks_per_rank);
   BenchSuiteResult r = run_suite("tune-warm", o);
   r.wall_s = wall_s;  // the warm tune() call, not the follow-up profile
   r.cpu_s = cpu_s;
@@ -276,16 +248,16 @@ BenchReport run_bench(const BenchOptions& opt, std::string* report_path) {
       opt.all_backends ? kernels::available() : std::vector<std::string>{kernels::active_name()};
   for (const std::string& kb : backends) {
     ProfileOptions a = attn_suite(opt.seed, opt.steps);
-    a.kernel_backend = kb;
+    a.cfg.kernel_backend = kb;
     rep.suites.push_back(run_suite("attn", a));
     ProfileOptions g = gemm_suite(opt.seed, opt.steps);
-    g.kernel_backend = kb;
+    g.cfg.kernel_backend = kb;
     rep.suites.push_back(run_suite("gemm", g));
     ProfileOptions ov = overlap_suite(opt.seed, opt.steps);
-    ov.kernel_backend = kb;
+    ov.cfg.kernel_backend = kb;
     rep.suites.push_back(run_suite("overlap", ov));
     ProfileOptions tp = topo_suite(opt.seed, opt.steps);
-    tp.kernel_backend = kb;
+    tp.cfg.kernel_backend = kb;
     rep.suites.push_back(run_suite("topo", tp));
   }
   // One tune-warm row on the process-default backend: the suite measures

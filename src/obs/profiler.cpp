@@ -18,8 +18,8 @@
 #include "nn/model_config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/baseline_trainer.h"
 #include "parallel/grid2d.h"
+#include "parallel/strategy.h"
 #include "parallel/zero/sharded_optimizer.h"
 #include "sim/runtime_bridge.h"
 
@@ -236,9 +236,10 @@ std::string ProfileResult::json(const ProfileOptions& opt) const {
   os.precision(12);
   os << "{\"strategy\":\"" << opt.strategy << "\",\"model\":\"" << opt.model.name
      << "\",\"world\":" << opt.world << ",\"steps\":" << opt.steps
-     << ",\"chunks\":" << opt.chunks << ",\"chunk_tokens\":" << opt.chunk_tokens
-     << ",\"zero_stage\":" << opt.zero_stage << ",\"ranks_per_node\":" << opt.ranks_per_node
-     << ",\"head_degree\":" << opt.head_degree << ",\"tokens_per_step\":" << tokens_per_step
+     << ",\"chunks\":" << opt.cfg.chunks_per_rank << ",\"chunk_tokens\":" << opt.chunk_tokens
+     << ",\"zero_stage\":" << opt.cfg.zero_stage
+     << ",\"ranks_per_node\":" << opt.cfg.ranks_per_node
+     << ",\"head_degree\":" << opt.cfg.head_degree << ",\"tokens_per_step\":" << tokens_per_step
      << ",\"final_loss\":" << finite(final_loss) << ",\"step_stats\":[";
   for (std::size_t i = 0; i < steps.size(); ++i) {
     if (i > 0) os << ",";
@@ -248,13 +249,23 @@ std::string ProfileResult::json(const ProfileOptions& opt) const {
   return os.str();
 }
 
+core::FpdtConfig profile_config(const ProfileOptions& opt) {
+  core::FpdtConfig cfg = opt.cfg;
+  cfg.stream_prefetch = cfg.offload;
+  return parallel::strategy_config(parallel::parse_strategy(opt.strategy), cfg);
+}
+
 ProfileResult run_profile(const ProfileOptions& opt) {
   FPDT_CHECK_GE(opt.steps, 1) << " profile needs at least one step";
   FPDT_CHECK_GE(opt.world, 1) << " profile world size";
+  // Resolved before any global state is touched: a bad name leaves the
+  // tracer, registry and workmeter as they were.
+  const parallel::Strategy strategy = parallel::parse_strategy(opt.strategy);
+  const core::FpdtConfig tcfg = profile_config(opt);
 
   // Select the math-kernel backend for the whole run (model init included);
   // restored on return. Empty = inherit the process default.
-  kernels::BackendScope kernel_scope(opt.kernel_backend);
+  kernels::BackendScope kernel_scope(opt.cfg.kernel_backend);
 
   Tracer& tracer = Tracer::instance();
   if (opt.trace) {
@@ -272,52 +283,15 @@ ProfileResult run_profile(const ProfileOptions& opt) {
   const nn::ModelConfig cfg = opt.model;
   nn::Model model(cfg, opt.seed);
   const sim::CostModel cm(opt.hw, opt.world);
-  const std::int64_t s_global = static_cast<std::int64_t>(opt.world) * opt.chunks *
-                                opt.chunk_tokens;
+  const std::int64_t s_global = static_cast<std::int64_t>(opt.world) *
+                                opt.cfg.chunks_per_rank * opt.chunk_tokens;
 
-  // Either trainer exposes the same FpdtEnv surface; keep both behind
-  // pointers and a uniform step closure.
-  std::unique_ptr<core::FpdtTrainer> fpdt;
-  std::unique_ptr<parallel::BaselineTrainer> baseline;
-  core::FpdtEnv* env = nullptr;
-  if (opt.strategy == "fpdt") {
-    core::FpdtConfig fcfg;
-    fcfg.chunks_per_rank = opt.chunks;
-    fcfg.offload = opt.offload;
-    fcfg.double_buffer = opt.double_buffer;
-    // A resident store migrates nothing; keep the stream engine off with it.
-    fcfg.stream_prefetch = opt.offload;
-    fcfg.cache_forward_outputs = opt.cache_fwd;
-    fcfg.ffn_chunk_multiplier = opt.ffn_chunk_multiplier;
-    fcfg.lm_head_chunks = opt.lm_head_chunks;
-    fcfg.zero_stage = opt.zero_stage;
-    fcfg.kernel_backend = opt.kernel_backend;
-    fcfg.ranks_per_node = opt.ranks_per_node;
-    fcfg.head_degree = opt.head_degree;
-    // Fail fast on grid shapes the model cannot carry (head_degree must
-    // divide the head count; Grid2D names the violated rule).
-    parallel::Grid2D::from_config(fcfg, opt.world, cfg.n_head);
-    fpdt = std::make_unique<core::FpdtTrainer>(model, opt.world, fcfg,
-                                               opt.hbm_capacity_bytes);
-    env = &fpdt->env();
-  } else {
-    parallel::BaselineKind kind;
-    if (opt.strategy == "ulysses") {
-      kind = parallel::BaselineKind::kUlysses;
-    } else if (opt.strategy == "megatron-sp") {
-      kind = parallel::BaselineKind::kMegatronSp;
-    } else if (opt.strategy == "ring") {
-      kind = parallel::BaselineKind::kRing;
-    } else {
-      if (opt.trace) tracer.set_enabled(false);
-      meter.set_enabled(false);
-      throw FpdtError("unknown profile strategy: " + opt.strategy +
-                      " (try fpdt, ulysses, megatron-sp, ring)");
-    }
-    baseline = std::make_unique<parallel::BaselineTrainer>(
-        model, opt.world, kind, opt.hbm_capacity_bytes, opt.zero_stage);
-    env = &baseline->env();
-  }
+  // Fail fast on grid shapes the model cannot carry (head_degree must
+  // divide the head count; Grid2D names the violated rule).
+  parallel::Grid2D::from_config(tcfg, opt.world, cfg.n_head);
+  const std::unique_ptr<core::FpdtTrainer> trainer =
+      parallel::make_trainer(strategy, model, opt.world, tcfg, opt.hbm_capacity_bytes);
+  core::FpdtEnv* env = &trainer->env();
   env->set_stream_rates(sim::stream_rates(cm));
 
   std::int64_t n_params = 0;
@@ -328,8 +302,8 @@ ProfileResult run_profile(const ProfileOptions& opt) {
   // stays bit-identical to the seed path — tests/test_zero.cpp's contract).
   nn::Adam adam(1e-3);
   std::unique_ptr<zero::ShardedOptimizer> zopt;
-  if (opt.zero_stage >= 0) {
-    zopt = std::make_unique<zero::ShardedOptimizer>(*env, zero::ZeroConfig{opt.zero_stage});
+  if (tcfg.zero_stage >= 0) {
+    zopt = std::make_unique<zero::ShardedOptimizer>(*env, zero::ZeroConfig{tcfg.zero_stage});
   }
   data::SyntheticCorpus corpus(cfg.vocab, 7);
   StepProfiler profiler(*env, opt.hw);
@@ -341,8 +315,7 @@ ProfileResult run_profile(const ProfileOptions& opt) {
     profiler.begin_step();
     const auto wall_begin = std::chrono::steady_clock::now();
     const std::clock_t cpu_begin = std::clock();
-    const double loss = fpdt ? fpdt->train_step_grads(tokens)
-                             : baseline->train_step_grads(tokens);
+    const double loss = trainer->train_step_grads(tokens);
     const auto walk = [&](const nn::ParamVisitor& v) { model.visit_params(v); };
     if (zopt) {
       zopt->step(walk);

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fpdt_config.h"
 #include "core/fpdt_env.h"
 #include "nn/model_config.h"
 #include "obs/workmeter.h"
@@ -126,7 +127,6 @@ struct ProfileOptions {
   std::string strategy = "fpdt";  // fpdt | ulysses | megatron-sp | ring
   int steps = 2;
   int world = 2;
-  std::int64_t chunks = 4;        // FPDT chunks per rank
   std::int64_t chunk_tokens = 64;
   std::uint64_t seed = 1234;
   bool trace = true;
@@ -137,40 +137,24 @@ struct ProfileOptions {
   // the tuner (src/tune/) passes its request's model through here.
   nn::ModelConfig model = nn::tiny_gpt(64, 2, 4, 96);
 
-  // FPDT execution knobs forwarded into core::FpdtConfig (strategy "fpdt";
-  // the defaults reproduce FpdtConfig's own defaults bit-for-bit).
-  bool offload = true;
-  bool double_buffer = true;
-  bool cache_fwd = true;
-  std::int64_t ffn_chunk_multiplier = 2;
-  std::int64_t lm_head_chunks = 0;  // <= 0: the vocab/hidden*2 rule
-
-  // ZeRO stage: -1 = seed behavior (replicated nn::Adam, no model-state
-  // accounting); 0-3 attach the ZeroEngine and run the ShardedOptimizer, so
-  // hbm_peak_bytes includes the stage's measured model-state residency.
-  int zero_stage = -1;
+  // Trainer config before the strategy's preset (profile_config). Its
+  // chunks_per_rank sizes the step for every strategy (s_global = world ·
+  // chunks_per_rank · chunk_tokens); zero_stage >= 0 runs the ZeRO
+  // ShardedOptimizer; kernel_backend covers the whole run, model init too.
+  core::FpdtConfig cfg;
 
   // Per-device HBM capacity in bytes; < 0 = unlimited (the default).
   std::int64_t hbm_capacity_bytes = -1;
 
-  // Math-kernel backend ("scalar", "simd"); empty inherits the process
-  // default (FPDT_KERNEL_BACKEND or "scalar"). Applied for the duration of
-  // the profile run via kernels::BackendScope and restored afterwards.
-  std::string kernel_backend;
-
   // Hardware preset pricing the run: roofline denominators and the stream
   // rates fed into the emulated devices (`--hw`, sim::hw_preset).
   sim::HardwareSpec hw = sim::a100_80g_node();
-
-  // Topology / 2D-grid knobs forwarded into core::FpdtConfig (strategy
-  // "fpdt"): ranks_per_node > 0 carving the world into > 1 full nodes routes
-  // collectives through the hierarchical group; head_degree > 0 declares the
-  // fast head axis of the 2D grid (validated against the model's head count
-  // before the run starts). Payloads — and therefore losses — are bitwise
-  // identical to the flat/1D defaults.
-  int ranks_per_node = 0;
-  int head_degree = 0;
 };
+
+// The config run_profile trains `opt` under: opt.cfg with stream prefetch
+// following offload (a resident store migrates nothing), then the
+// strategy's preset. Throws FpdtError on an unknown strategy.
+core::FpdtConfig profile_config(const ProfileOptions& opt);
 
 struct ProfileResult {
   std::vector<StepStats> steps;

@@ -1,57 +1,35 @@
-// End-to-end training steps for the baseline strategies — the counterpart
-// of core::FpdtTrainer for Ulysses, Megatron-SP and Ring Attention. All
-// three shard the sequence contiguously, run per-rank embedding and loss,
-// and execute every block through the respective distributed executor.
-// Like FpdtTrainer they borrow the wrapped nn::Model's weights, so losses
-// and gradients are directly comparable across strategies — extending the
+// BaselineTrainer — core::FpdtTrainer under a baseline strategy's preset
+// (parallel/strategy.h), built from the strategy and a ZeRO stage. Like every
+// FpdtTrainer it borrows the wrapped nn::Model's weights, so losses and
+// gradients are directly comparable across strategies — extending the
 // Fig. 14 convergence-equivalence argument to every baseline.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <variant>
-#include <vector>
 
-#include "core/fpdt_env.h"
-#include "nn/model.h"
-#include "parallel/megatron_sp.h"
-#include "parallel/ring_attention.h"
-#include "parallel/ulysses.h"
-#include "parallel/zero/zero_engine.h"
+#include "core/fpdt_trainer.h"
+#include "parallel/strategy.h"
 
 namespace fpdt::parallel {
 
-enum class BaselineKind { kUlysses, kMegatronSp, kRing };
+using BaselineKind = Strategy;
 
-class BaselineTrainer {
+class BaselineTrainer : public core::FpdtTrainer {
  public:
   // zero_stage: -1 = seed behavior (no model-state accounting); 0-3 attach
-  // a zero::ZeroEngine exactly as FpdtTrainer does (DeepSpeed Ulysses runs
-  // with ZeRO-3 in the paper's evaluation, §5.1).
+  // a zero::ZeroEngine (DeepSpeed Ulysses runs with ZeRO-3 in the paper's
+  // evaluation, §5.1).
   BaselineTrainer(nn::Model& model, int world, BaselineKind kind,
-                  std::int64_t hbm_capacity_bytes = -1, int zero_stage = -1);
-
-  // tokens: s_global + 1 ids, s_global divisible by world.
-  // Returns mean token loss; accumulates grads into the wrapped model.
-  double train_step_grads(const std::vector<std::int32_t>& tokens);
-
-  core::FpdtEnv& env() { return env_; }
-  BaselineKind kind() const { return kind_; }
-  zero::ZeroEngine* zero_engine() { return zero_.get(); }
+                  std::int64_t hbm_capacity_bytes = -1, int zero_stage = -1)
+      : core::FpdtTrainer(model, world, preset(kind, zero_stage), hbm_capacity_bytes,
+                          executor_factory(kind)) {}
 
  private:
-  using Executor =
-      std::variant<UlyssesBlockExecutor, MegatronSpBlockExecutor, RingAttentionBlockExecutor>;
-
-  std::vector<Tensor> exec_forward(std::size_t layer, const std::vector<Tensor>& x);
-  std::vector<Tensor> exec_backward(std::size_t layer, const std::vector<Tensor>& dz,
-                                    const std::vector<Tensor>& x);
-
-  nn::Model* model_;
-  BaselineKind kind_;
-  core::FpdtEnv env_;
-  std::vector<Executor> executors_;
-  std::unique_ptr<zero::ZeroEngine> zero_;
+  static core::FpdtConfig preset(BaselineKind kind, int zero_stage) {
+    core::FpdtConfig cfg;
+    cfg.zero_stage = zero_stage;
+    return strategy_config(kind, cfg);
+  }
 };
 
 }  // namespace fpdt::parallel

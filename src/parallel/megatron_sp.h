@@ -23,23 +23,24 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/block_executor.h"
 #include "core/fpdt_env.h"
 #include "nn/transformer_block.h"
 
 namespace fpdt::parallel {
 
-class MegatronSpBlockExecutor {
+class MegatronSpBlockExecutor : public core::BlockExecutor {
  public:
   MegatronSpBlockExecutor(nn::TransformerBlock& block, core::FpdtEnv& env);
 
   // x_local: contiguous per-rank sequence shards [s_local, d].
-  std::vector<Tensor> forward(const std::vector<Tensor>& x_local);
+  std::vector<Tensor> forward(const std::vector<Tensor>& x_local) override;
 
   // Recompute-based backward (activation checkpointing), mirroring forward
   // with the transposed collectives (bwd of all-gather = reduce-scatter of
   // gradients and vice versa). Accumulates weight grads, returns dx shards.
   std::vector<Tensor> backward(const std::vector<Tensor>& dz_local,
-                               const std::vector<Tensor>& x_local);
+                               const std::vector<Tensor>& x_local) override;
 
  private:
   struct RankFwd {

@@ -17,18 +17,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/block_executor.h"
 #include "core/fpdt_env.h"
 #include "nn/transformer_block.h"
 
 namespace fpdt::parallel {
 
-class RingAttentionBlockExecutor {
+class RingAttentionBlockExecutor : public core::BlockExecutor {
  public:
   RingAttentionBlockExecutor(nn::TransformerBlock& block, core::FpdtEnv& env);
 
-  std::vector<Tensor> forward(const std::vector<Tensor>& x_local);
+  std::vector<Tensor> forward(const std::vector<Tensor>& x_local) override;
   std::vector<Tensor> backward(const std::vector<Tensor>& dz_local,
-                               const std::vector<Tensor>& x_local);
+                               const std::vector<Tensor>& x_local) override;
 
   // Non-masked (q rank, kv block) pair count per rank from the last
   // forward — rank 0 does 1 useful step, rank P-1 does P (imbalance).

@@ -69,10 +69,9 @@ Measurement Runner::run(const Candidate& c) {
   }
 
   obs::ProfileOptions opt;
-  opt.strategy = "fpdt";
   opt.steps = req_.steps;
   opt.world = req_.world;
-  opt.chunks = c.cfg.chunks_per_rank;
+  opt.cfg = c.cfg;
   opt.chunk_tokens = req_.s_global / (static_cast<std::int64_t>(req_.world) *
                                       c.cfg.chunks_per_rank);
   opt.seed = req_.seed;
@@ -80,13 +79,6 @@ Measurement Runner::run(const Candidate& c) {
   opt.trace_path.clear();
   opt.metrics_path.clear();
   opt.model = req_.model;
-  opt.offload = c.cfg.offload;
-  opt.double_buffer = c.cfg.double_buffer;
-  opt.cache_fwd = c.cfg.cache_forward_outputs;
-  opt.ffn_chunk_multiplier = c.cfg.ffn_chunk_multiplier;
-  opt.lm_head_chunks = c.cfg.lm_head_chunks;
-  opt.zero_stage = c.cfg.zero_stage;
-  opt.kernel_backend = c.cfg.kernel_backend;
 
   const obs::ProfileResult res = obs::run_profile(opt);
   FPDT_CHECK(!res.steps.empty()) << " candidate " << c.label << " produced no steps";

@@ -171,6 +171,13 @@ struct FpdtCase {
   bool llama;
 };
 
+// Names the case in the ctest id (".../w2_u3_offload_db_gpt"); without it
+// gtest prints the raw bytes, padding included, which vary between builds.
+void PrintTo(const FpdtCase& c, std::ostream* os) {
+  *os << "w" << c.world << "_u" << c.chunks << (c.offload ? "_offload" : "_resident")
+      << (c.double_buffer ? "_db" : "") << (c.llama ? "_llama" : "_gpt");
+}
+
 class FpdtBlockParam : public ::testing::TestWithParam<FpdtCase> {};
 
 nn::ModelConfig case_config(const FpdtCase& c) {

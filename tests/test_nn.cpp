@@ -394,10 +394,21 @@ TEST(LmHeadTest, LogitsSpikeChargedToPool) {
   EXPECT_EQ(chunk_pool.peak(), s / 8 * vocab * 4);
 }
 
-class FfnChunkParam : public ::testing::TestWithParam<std::tuple<Arch, int>> {};
+struct FfnChunkCase {
+  Arch arch;
+  int chunks;
+};
+
+// Names the case in the ctest id (".../llama_c4"); without it gtest prints
+// the enum class as raw bytes.
+void PrintTo(const FfnChunkCase& c, std::ostream* os) {
+  *os << (c.arch == Arch::kLlama ? "llama" : "gpt") << "_c" << c.chunks;
+}
+
+class FfnChunkParam : public ::testing::TestWithParam<FfnChunkCase> {};
 
 TEST_P(FfnChunkParam, ChunkedEqualsMonolithic) {
-  auto [arch, chunks] = GetParam();
+  const auto [arch, chunks] = GetParam();
   Rng rng_a(30), rng_b(30);
   FeedForward ffn_a("f", arch, 8, 16, rng_a);
   FeedForward ffn_b("f", arch, 8, 16, rng_b);
@@ -420,11 +431,11 @@ TEST_P(FfnChunkParam, ChunkedEqualsMonolithic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FfnChunkParam,
-                         ::testing::Values(std::tuple{Arch::kGpt, 2}, std::tuple{Arch::kGpt, 3},
-                                           std::tuple{Arch::kGpt, 12},
-                                           std::tuple{Arch::kLlama, 2},
-                                           std::tuple{Arch::kLlama, 4},
-                                           std::tuple{Arch::kLlama, 12}));
+                         ::testing::Values(FfnChunkCase{Arch::kGpt, 2}, FfnChunkCase{Arch::kGpt, 3},
+                                           FfnChunkCase{Arch::kGpt, 12},
+                                           FfnChunkCase{Arch::kLlama, 2},
+                                           FfnChunkCase{Arch::kLlama, 4},
+                                           FfnChunkCase{Arch::kLlama, 12}));
 
 TEST(FfnTest, BackwardFiniteDiff) {
   Rng rng(32);

@@ -1,8 +1,8 @@
 // The observability layer (src/obs): tracer semantics (gating, ring buffer,
 // scope nesting on the virtual clock), Chrome-trace JSON well-formedness,
-// metrics aggregation, and the profiler's headline guarantee — profiling an
-// FPDT step changes nothing about its results while producing a trace that
-// covers every built-in category on every rank.
+// metrics aggregation, and the profiler's headline guarantee — profiling a
+// step of any strategy changes nothing about its results, and an FPDT step's
+// trace covers every built-in category on every rank.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "obs/workmeter.h"
+#include "parallel/strategy.h"
 #include "runtime/stream.h"
 
 // Counting replacement allocator for the zero-allocation contract tests:
@@ -325,7 +326,11 @@ TEST(PhaseOfTest, ClassifiesBlockSpanVocabulary) {
 
 // ---- Profiled step: bit-identical and complete ------------------------------
 
-TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
+// One step of `strategy` untraced and one traced (same seed and tokens) must
+// give bit-identical losses and gradients. Leaves the tracer on with the
+// traced step's events; `labels` gets its rank-0 compute-stream spans.
+void expect_traced_step_bit_identical(parallel::Strategy strategy,
+                                      std::vector<std::string>* labels) {
   const nn::ModelConfig cfg = nn::tiny_gpt(32, 1, 4, 64);
   const int world = 2;
   core::FpdtConfig fcfg;
@@ -336,17 +341,18 @@ TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
   // Reference: same seed, tracer off.
   obs::Tracer::instance().set_enabled(false);
   nn::Model plain_model(cfg, 42);
-  core::FpdtTrainer plain(plain_model, world, fcfg);
-  const double plain_loss = plain.train_step_grads(tokens);
+  const auto plain = parallel::make_trainer(strategy, plain_model, world, fcfg);
+  const double plain_loss = plain->train_step_grads(tokens);
 
   // Profiled: tracer on for the whole step.
-  double traced_loss = 0.0;
+  obs::Tracer::instance().clear();
+  obs::Tracer::instance().set_enabled(true);
   nn::Model traced_model(cfg, 42);
-  {
-    TracerWindow window;
-    core::FpdtTrainer traced(traced_model, world, fcfg);
-    traced_loss = traced.train_step_grads(tokens);
-    traced.env().synchronize_streams();
+  const auto traced = parallel::make_trainer(strategy, traced_model, world, fcfg);
+  const double traced_loss = traced->train_step_grads(tokens);
+  traced->env().synchronize_streams();
+  for (const runtime::StreamSpan& sp : traced->env().device(0).compute_stream().spans()) {
+    labels->push_back(sp.label);
   }
 
   EXPECT_EQ(plain_loss, traced_loss);  // bit-identical, not just close
@@ -362,27 +368,84 @@ TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
       ASSERT_EQ(a.data()[k], b.data()[k]) << plain_params[i]->name << "[" << k << "]";
     }
   }
+}
 
-  // The step's trace covers every built-in category on both ranks.
-  std::set<std::string> cats;
-  std::set<int> ranks;
-  for (const obs::TraceEvent& ev : obs::Tracer::instance().events()) {
-    cats.insert(ev.category);
-    if (ev.rank >= 0) ranks.insert(ev.rank);
+TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
+  for (const parallel::Strategy s : parallel::kStrategies) {
+    SCOPED_TRACE(parallel::strategy_name(s));
+    TracerWindow window;
+    std::vector<std::string> labels;
+    expect_traced_step_bit_identical(s, &labels);
+    if (s != parallel::Strategy::kFpdt) {
+      // The baselines' presets keep the trainer's phase spans off.
+      for (const char* phase : {"embed", "loss", "bwd.embed"}) {
+        EXPECT_EQ(std::count(labels.begin(), labels.end(), phase), 0) << phase;
+      }
+      continue;
+    }
+    // The FPDT step's trace covers every built-in category on both ranks.
+    std::set<std::string> cats;
+    std::set<int> ranks;
+    for (const obs::TraceEvent& ev : obs::Tracer::instance().events()) {
+      cats.insert(ev.category);
+      if (ev.rank >= 0) ranks.insert(ev.rank);
+    }
+    EXPECT_TRUE(cats.count(obs::kCatStream));
+    EXPECT_TRUE(cats.count(obs::kCatChunk));
+    EXPECT_TRUE(cats.count(obs::kCatComm));
+    EXPECT_TRUE(cats.count(obs::kCatMemory));
+    EXPECT_GE(ranks.size(), 2u);
+    EXPECT_TRUE(JsonChecker(obs::Tracer::instance().chrome_trace_json()).valid());
   }
-  EXPECT_TRUE(cats.count(obs::kCatStream));
-  EXPECT_TRUE(cats.count(obs::kCatChunk));
-  EXPECT_TRUE(cats.count(obs::kCatComm));
-  EXPECT_TRUE(cats.count(obs::kCatMemory));
-  EXPECT_GE(ranks.size(), 2u);
-  EXPECT_TRUE(JsonChecker(obs::Tracer::instance().chrome_trace_json()).valid());
+}
+
+TEST(ProfilerTest, RunProfileCompletesForEveryStrategy) {
+  for (const parallel::Strategy s : parallel::kStrategies) {
+    obs::ProfileOptions opt;
+    opt.strategy = parallel::strategy_name(s);
+    opt.steps = 1;
+    opt.cfg.chunks_per_rank = 2;
+    opt.chunk_tokens = 16;
+    opt.trace_path.clear();  // no files from unit tests
+    opt.metrics_path.clear();
+    const obs::ProfileResult res = obs::run_profile(opt);
+    ASSERT_EQ(res.steps.size(), 1u) << opt.strategy;
+    EXPECT_EQ(res.tokens_per_step, 2 * 2 * 16) << opt.strategy;
+    EXPECT_TRUE(std::isfinite(res.final_loss)) << opt.strategy;
+    EXPECT_GT(res.final_loss, 0.0) << opt.strategy;
+    EXPECT_GT(res.steps[0].hbm_peak_bytes, 0) << opt.strategy;
+    EXPECT_TRUE(JsonChecker(res.json(opt)).valid()) << opt.strategy;
+  }
+}
+
+TEST(ProfilerTest, UnknownStrategyThrowsBeforeTouchingGlobalState) {
+  obs::MetricsRegistry::global().gauge("test.sentinel").set(7.0);
+  TracerWindow window;
+  obs::Tracer::instance().instant(obs::kCatPhase, "sentinel", 0, "test");
+  const std::size_t events_before = obs::Tracer::instance().events().size();
+  obs::ProfileOptions opt;
+  opt.strategy = "bogus";
+  opt.trace_path.clear();
+  opt.metrics_path.clear();
+  try {
+    obs::run_profile(opt);
+    FAIL() << "unknown strategy accepted";
+  } catch (const FpdtError& e) {
+    const std::string msg = e.what();
+    for (const parallel::Strategy s : parallel::kStrategies) {
+      EXPECT_NE(msg.find(parallel::strategy_name(s)), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(obs::MetricsRegistry::global().gauge("test.sentinel").value(), 7.0);
+  EXPECT_EQ(obs::Tracer::instance().events().size(), events_before);
+  EXPECT_TRUE(obs::tracing_enabled());
 }
 
 TEST(ProfilerTest, RunProfileReportsOverlapFromTimelineReport) {
   obs::ProfileOptions opt;
   opt.steps = 1;
   opt.world = 2;
-  opt.chunks = 2;
+  opt.cfg.chunks_per_rank = 2;
   opt.chunk_tokens = 16;
   opt.trace_path.clear();    // no files from unit tests
   opt.metrics_path.clear();
@@ -590,7 +653,7 @@ TEST(ProfilerTest, RunProfileCarriesRooflineAndPhaseWork) {
   obs::ProfileOptions opt;
   opt.steps = 1;
   opt.world = 2;
-  opt.chunks = 2;
+  opt.cfg.chunks_per_rank = 2;
   opt.chunk_tokens = 16;
   opt.trace_path.clear();
   opt.metrics_path.clear();

@@ -8,7 +8,7 @@
 #include "nn/model.h"
 #include "parallel/megatron_sp.h"
 #include "parallel/ring_attention.h"
-#include "parallel/ulysses.h"
+#include "parallel/strategy.h"
 #include "tests/test_util.h"
 
 namespace fpdt {
@@ -18,7 +18,7 @@ using core::FpdtConfig;
 using core::FpdtEnv;
 using parallel::MegatronSpBlockExecutor;
 using parallel::RingAttentionBlockExecutor;
-using parallel::UlyssesBlockExecutor;
+using parallel::Strategy;
 
 // Contiguous sequence sharding used by all three baselines.
 std::vector<Tensor> contiguous_shard(const Tensor& full, int world) {
@@ -36,6 +36,12 @@ struct Case {
   int world;
   bool llama;
 };
+
+// Names the case in the ctest id (".../w4_llama"); without it gtest prints
+// the raw bytes, padding included, which vary between builds.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "w" << c.world << (c.llama ? "_llama" : "_gpt");
+}
 
 class BaselineParam : public ::testing::TestWithParam<Case> {};
 
@@ -70,9 +76,9 @@ TEST_P(BaselineParam, UlyssesForwardMatchesReference) {
   Tensor x = Tensor::randn({static_cast<std::int64_t>(c.world) * 6, cfg.d_model}, xrng, 0.0, 0.5);
   Tensor ref = block.forward_only(x);
 
-  FpdtEnv env(c.world, UlyssesBlockExecutor::config());
-  UlyssesBlockExecutor exec(block, 0, env);
-  Tensor got = contiguous_unshard(exec.forward(contiguous_shard(x, c.world)));
+  FpdtEnv env(c.world, parallel::strategy_config(Strategy::kUlysses, FpdtConfig{}));
+  auto exec = parallel::executor_factory(Strategy::kUlysses)(block, 0, env);
+  Tensor got = contiguous_unshard(exec->forward(contiguous_shard(x, c.world)));
   EXPECT_LT(max_abs_diff(got, ref), 2e-4);
 }
 
@@ -87,10 +93,10 @@ TEST_P(BaselineParam, UlyssesBackwardMatchesReference) {
   Tensor dz = Tensor::randn(x.shape(), xrng, 0.0, 0.5);
 
   Tensor ref_dx = ref_block.backward_with_recompute(dz, x);
-  FpdtEnv env(c.world, UlyssesBlockExecutor::config());
-  UlyssesBlockExecutor exec(ul_block, 0, env);
+  FpdtEnv env(c.world, parallel::strategy_config(Strategy::kUlysses, FpdtConfig{}));
+  auto exec = parallel::executor_factory(Strategy::kUlysses)(ul_block, 0, env);
   Tensor got_dx = contiguous_unshard(
-      exec.backward(contiguous_shard(dz, c.world), contiguous_shard(x, c.world)));
+      exec->backward(contiguous_shard(dz, c.world), contiguous_shard(x, c.world)));
   EXPECT_LT(max_abs_diff(got_dx, ref_dx), 5e-4);
   expect_weight_grads_match(ref_block, ul_block, 2e-3);
 }

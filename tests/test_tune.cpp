@@ -354,9 +354,9 @@ TEST(ProfileZeroStage, LossBitIdenticalAndModelStateAccounted) {
 
   obs::ProfileOptions seed = base;   // zero_stage = -1: replicated Adam
   obs::ProfileOptions z0 = base;
-  z0.zero_stage = 0;
+  z0.cfg.zero_stage = 0;
   obs::ProfileOptions z3 = base;
-  z3.zero_stage = 3;
+  z3.cfg.zero_stage = 3;
 
   const obs::ProfileResult r_seed = obs::run_profile(seed);
   const obs::ProfileResult r_z0 = obs::run_profile(z0);

@@ -267,7 +267,7 @@ int cmd_profile(int argc, char** argv, int base) {
   while (f.more()) {
     if (f.match("--steps", &opt.steps)) continue;
     if (f.match("--gpus", &opt.world)) continue;
-    if (f.match("--chunks", &opt.chunks)) continue;
+    if (f.match("--chunks", &opt.cfg.chunks_per_rank)) continue;
     if (f.match("--chunk-tokens", &opt.chunk_tokens)) continue;
     if (f.match("--strategy", &opt.strategy)) continue;
     if (f.match("--model", &model)) continue;
@@ -275,11 +275,11 @@ int cmd_profile(int argc, char** argv, int base) {
     if (f.match("--trace", &opt.trace_path)) continue;
     if (f.match("--metrics", &opt.metrics_path)) continue;
     if (f.match_set("--no-trace", &opt.trace, false)) continue;
-    if (f.match("--zero-stage", &opt.zero_stage)) continue;
-    if (f.match("--backend", &opt.kernel_backend)) continue;
+    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
+    if (f.match("--backend", &opt.cfg.kernel_backend)) continue;
     if (f.match("--hw", &hw_name)) continue;
-    if (f.match("--ranks-per-node", &opt.ranks_per_node)) continue;
-    if (f.match("--head-degree", &opt.head_degree)) continue;
+    if (f.match("--ranks-per-node", &opt.cfg.ranks_per_node)) continue;
+    if (f.match("--head-degree", &opt.cfg.head_degree)) continue;
     f.unknown();
   }
   if (!model.empty()) opt.model = nn::model_by_name(model);
@@ -289,9 +289,9 @@ int cmd_profile(int argc, char** argv, int base) {
 
   std::cout << "profiled " << opt.steps << " " << opt.strategy << " steps, " << opt.world
             << " GPUs, " << format_token_count(res.tokens_per_step) << " tokens/step";
-  if (opt.zero_stage >= 0) std::cout << ", zero-" << opt.zero_stage;
+  if (opt.cfg.zero_stage >= 0) std::cout << ", zero-" << opt.cfg.zero_stage;
   std::cout << ", kernels "
-            << (opt.kernel_backend.empty() ? kernels::active_name() : opt.kernel_backend);
+            << (opt.cfg.kernel_backend.empty() ? kernels::active_name() : opt.cfg.kernel_backend);
   std::cout << "\n";
   TextTable t({"step", "loss", "virtual", "wall", "tok/s", "mfu", "par_eff", "overlap",
                "exposed", "hbm peak"});
