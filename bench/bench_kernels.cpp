@@ -6,7 +6,10 @@
 // O(s^2) copy in the chunk pipeline).
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/fpdt_block.h"
 #include "kernels/backend.h"
 #include "data/rank_ordinal.h"
@@ -86,6 +89,93 @@ void BM_OnlineAttnStepBackend(benchmark::State& state) {
   state.SetLabel(kernels::active_name());
 }
 BENCHMARK(BM_OnlineAttnStepBackend)->Args({512, 0})->Args({512, 1});
+
+// One FPDT chunk pair at the train-longctx shape: 512-token chunks of
+// [512, 2, 16] q/k/v, causal, chunk i's queries against chunk j's keys.
+// diag = 0 is j < i (every key visible), diag = 1 is j = i. Rank bodies call
+// these kernels from inside parallel_for_ranks, where the simd backend does
+// not fork, so the benchmark runs them on one worker too.
+struct D16ChunkPair {
+  static constexpr std::int64_t kChunk = 512, kHeads = 2, kDim = 16;
+  kernels::AttnDims dm{kChunk, kChunk, kHeads, kHeads, kDim, 1};
+  std::int64_t q_pos0;
+  Tensor q, k, v, dout, lse, D;
+
+  explicit D16ChunkPair(bool diag) : q_pos0(diag ? 0 : kChunk) {
+    Rng rng(7);
+    q = Tensor::randn({kChunk, kHeads, kDim}, rng);
+    k = Tensor::randn({kChunk, kHeads, kDim}, rng);
+    v = Tensor::randn({kChunk, kHeads, kDim}, rng);
+    dout = Tensor::randn({kChunk, kHeads, kDim}, rng);
+    Tensor out = Tensor::full({kChunk, kHeads, kDim}, 0.0f);
+    lse = Tensor::full({kChunk, kHeads}, 0.0f);
+    D = Tensor::full({kChunk, kHeads}, 0.0f);
+    kernels::backend("scalar").attn_forward(q.data(), k.data(), v.data(), out.data(),
+                                            lse.data(), dm, true, q_pos0, 0);
+    for (std::int64_t r = 0; r < kChunk * kHeads; ++r) {
+      for (std::int64_t p = 0; p < kDim; ++p) {
+        D.data()[r] += dout.data()[r * kDim + p] * out.data()[r * kDim + p];
+      }
+    }
+  }
+};
+
+struct OneWorker {
+  const int saved = parallel_workers();
+  OneWorker() { set_parallel_workers(1); }
+  ~OneWorker() { set_parallel_workers(saved); }
+};
+
+void BM_OnlineAttnStepD16(benchmark::State& state) {
+  const kernels::Backend& be = kernels::backend(backend_of(state.range(0)));
+  const D16ChunkPair in(state.range(1) != 0);
+  const OneWorker one;
+  Tensor acc = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
+  Tensor row_max = Tensor::full({in.kChunk, in.kHeads}, 0.0f);
+  Tensor row_sum = Tensor::full({in.kChunk, in.kHeads}, 0.0f);
+  for (auto _ : state) {
+    // Two steps into a fresh state, as the FPDT forward folds chunks.
+    row_max.fill_(-std::numeric_limits<float>::infinity());
+    row_sum.fill_(0.0f);
+    acc.fill_(0.0f);
+    for (int s = 0; s < 2; ++s) {
+      be.online_attn_step(acc.data(), row_max.data(), row_sum.data(), in.q.data(), in.k.data(),
+                          in.v.data(), in.dm, true, in.q_pos0, 0);
+    }
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(be.name());
+}
+BENCHMARK(BM_OnlineAttnStepD16)
+    ->ArgNames({"simd", "diag"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
+void BM_OnlineAttnBackwardD16(benchmark::State& state) {
+  const kernels::Backend& be = kernels::backend(backend_of(state.range(0)));
+  const D16ChunkPair in(state.range(1) != 0);
+  const OneWorker one;
+  Tensor dq = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
+  Tensor dk = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
+  Tensor dv = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
+  for (auto _ : state) {
+    be.online_attn_backward_step(in.q.data(), in.k.data(), in.v.data(), in.dout.data(),
+                                 in.lse.data(), in.D.data(), in.dm, true, in.q_pos0, 0,
+                                 dq.data(), dk.data(), dv.data());
+    benchmark::DoNotOptimize(dq.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(be.name());
+}
+BENCHMARK(BM_OnlineAttnBackwardD16)
+    ->ArgNames({"simd", "diag"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 void BM_ReferenceAttention(benchmark::State& state) {
   const std::int64_t s = state.range(0);

@@ -11,7 +11,9 @@
 // Attention kernels keep the scalar backend's loop structure (per-row
 // online softmax) and vectorise both the d-dimension dot/axpy inner loops
 // and the per-score exponentials (exp8 below) — with the dots vectorised,
-// scalar std::exp over every score becomes the dominant serial cost.
+// scalar std::exp over every score becomes the dominant serial cost. For
+// head dims up to 32 they sweep tiles of query rows (kTileRows) whose
+// per-row arithmetic is bitwise the single-row sweep's.
 #include "kernels/simd_avx2.h"
 
 #if defined(FPDT_KERNEL_AVX2)
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/elementwise.h"
@@ -186,11 +189,47 @@ inline void weighted_rows(const float* w, const float* r0, std::int64_t ldr, std
 
 // Head dims with d % 8 == 0 and d <= 32 (4 ymm) run the online-softmax
 // recurrence entirely in registers: one sweep over 8-key blocks per query
-// row, each k/v row loaded exactly once, block-granular rescale of the
-// in-register accumulator. This is the same recurrence the scalar backend
-// runs per chunk, applied at 8-key granularity.
+// row, block-granular rescale of the in-register accumulator. This is the
+// same recurrence the scalar backend runs per chunk, applied at 8-key
+// granularity. Blocks are counted from key 0 of the chunk.
 constexpr std::int64_t kMaxRegD = 32;
 
+// Query rows per register tile. A tile sweeps its rows' common full 8-key
+// blocks together: each k/v row is loaded once for all of them, and the
+// rows' independent max/exp/accumulate chains overlap in the pipeline. The
+// arithmetic of each row is exactly the single-row sweep's (see
+// online_row_reg), so a row's result does not depend on its tile. The tile
+// loops carry `#pragma GCC unroll`: at -O2 GCC keeps them rolled, which
+// leaves the per-row scores and accumulators in memory, not in registers.
+constexpr int kTileRows = 4;
+
+// Raises a row's running max to the block max bm when bm exceeds it,
+// rescaling the accumulator and the running sum to the new max.
+inline void raise_max(float bm, __m256 accv[4], std::int64_t nb, float& m_run, float& l_run) {
+  // Rescale only when this block actually raises the running max. For a
+  // long key sweep the max stabilises quickly, so the scalar std::exp —
+  // the one transcendental the vector path can't batch — drops out of
+  // the steady state entirely.
+  if (bm > m_run) {
+    const float rescale = (l_run > 0.0f) ? std::exp(m_run - bm) : 0.0f;
+    if (rescale != 1.0f) {
+      const __m256 rs = _mm256_set1_ps(rescale);
+      for (std::int64_t b = 0; b < nb; ++b) accv[b] = _mm256_mul_ps(accv[b], rs);
+    }
+    l_run *= rescale;
+    m_run = bm;
+  }
+}
+
+// Max of the first jb lanes as a left fold of std::max: lane 0 first, so a
+// NaN in lane 0 wins and a NaN in a later lane is skipped.
+inline float fold_max(const float* s, std::int64_t jb) {
+  float bm = s[0];
+  for (std::int64_t t = 1; t < jb; ++t) bm = std::max(bm, s[t]);
+  return bm;
+}
+
+// One query row's sweep over jn keys, block by block.
 inline void online_row_reg(const float* qrow, const float* kh, const float* vh, std::int64_t ldk,
                            std::int64_t d, float sc, std::int64_t jn, __m256 accv[4], float& m_run,
                            float& l_run) {
@@ -208,21 +247,7 @@ inline void online_row_reg(const float* qrow, const float* kh, const float* vh, 
       // Pad with -inf: exp8 turns the dead lanes into exact zero weight.
       for (std::int64_t t = jb; t < 8; ++t) sbuf[t] = kNegInf;
     }
-    float bm = sbuf[0];
-    for (std::int64_t t = 1; t < jb; ++t) bm = std::max(bm, sbuf[t]);
-    // Rescale only when this block actually raises the running max. For a
-    // long key sweep the max stabilises quickly, so the scalar std::exp —
-    // the one transcendental the vector path can't batch — drops out of
-    // the steady state entirely.
-    if (bm > m_run) {
-      const float rescale = (l_run > 0.0f) ? std::exp(m_run - bm) : 0.0f;
-      if (rescale != 1.0f) {
-        const __m256 rs = _mm256_set1_ps(rescale);
-        for (std::int64_t b = 0; b < nb; ++b) accv[b] = _mm256_mul_ps(accv[b], rs);
-      }
-      l_run *= rescale;
-      m_run = bm;
-    }
+    raise_max(fold_max(sbuf, jb), accv, nb, m_run, l_run);
     const __m256 w8 = exp8(_mm256_sub_ps(_mm256_load_ps(sbuf), _mm256_set1_ps(m_run)));
     _mm256_store_ps(wbuf, w8);
     const float bsum = hsum8(w8);
@@ -233,6 +258,120 @@ inline void online_row_reg(const float* qrow, const float* kh, const float* vh, 
       }
     }
     l_run += bsum;
+  }
+}
+
+// <q, k_t> for the 8 keys of a block as one vector, with dot8's FMA order
+// and reduction tree, for a head dim of NB ymm.
+template <int NB>
+inline __m256 dot8_reg(const float* q, const float* kb, std::int64_t ldk) {
+  __m256 acc[8];
+#pragma GCC unroll 8
+  for (int t = 0; t < 8; ++t) acc[t] = _mm256_setzero_ps();
+#pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    const __m256 qv = _mm256_loadu_ps(q + b * 8);
+#pragma GCC unroll 8
+    for (int t = 0; t < 8; ++t) {
+      acc[t] = _mm256_fmadd_ps(qv, _mm256_loadu_ps(kb + t * ldk + b * 8), acc[t]);
+    }
+  }
+  return hsum8x8(acc);
+}
+
+// Scaled scores of a block, kept apart from what consumes them. With FMA
+// enabled GCC contracts a product into a following add or sub, rounding
+// once where the single-row kernels (whose scores pass through memory)
+// round twice; the empty asm makes the product opaque to that rewrite.
+inline __m256 scaled(__m256 raw, __m256 vsc) {
+  __m256 s = _mm256_mul_ps(raw, vsc);
+  asm("" : "+x"(s));
+  return s;
+}
+
+// Sweeps kTileRows query rows of one head over their first jn[r] keys.
+// Row r's query is q + r * ldq, its accumulator acc + r * ldq (updated in
+// place), and its running max and sum m[r * ldm] and l[r * ldm]. The rows'
+// common full blocks go through the tile; each row then finishes its own
+// remaining blocks in online_row_reg.
+template <int NB>
+void online_tile_reg(const float* q, float* acc, std::int64_t ldq, float* m, float* l,
+                     std::int64_t ldm, const float* kh, const float* vh, std::int64_t ldk,
+                     float sc, const std::int64_t jn[kTileRows]) {
+  std::int64_t common = jn[0];
+  for (int r = 1; r < kTileRows; ++r) common = std::min(common, jn[r]);
+  common -= common % 8;
+  // Locals, so the accumulators can live in registers across the sweep.
+  __m256 accv[kTileRows][NB];
+  float m_run[kTileRows];
+  float l_run[kTileRows];
+  for (int r = 0; r < kTileRows; ++r) {
+    for (int b = 0; b < NB; ++b) accv[r][b] = _mm256_loadu_ps(acc + r * ldq + b * 8);
+    m_run[r] = m[r * ldm];
+    l_run[r] = l[r * ldm];
+  }
+  alignas(32) float wbuf[kTileRows][8];
+  const __m256 vsc = _mm256_set1_ps(sc);
+  for (std::int64_t j0 = 0; j0 < common; j0 += 8) {
+    const float* kb = kh + j0 * ldk;
+    const float* vb = vh + j0 * ldk;
+    __m256 s[kTileRows];
+    int raised = 0;
+#pragma GCC unroll 4
+    for (int r = 0; r < kTileRows; ++r) {
+      s[r] = scaled(dot8_reg<NB>(q + r * ldq, kb, ldk), vsc);
+      // The fold's max exceeds m only if some lane does (a NaN lane never
+      // does), so the exact fold runs only for blocks that may raise it.
+      raised |= _mm256_movemask_ps(_mm256_cmp_ps(s[r], _mm256_set1_ps(m_run[r]), _CMP_GT_OQ));
+    }
+    if (raised != 0) {
+      for (int r = 0; r < kTileRows; ++r) {
+        _mm256_store_ps(wbuf[r], s[r]);
+        raise_max(fold_max(wbuf[r], 8), accv[r], NB, m_run[r], l_run[r]);
+      }
+    }
+    float bsum[kTileRows];
+#pragma GCC unroll 4
+    for (int r = 0; r < kTileRows; ++r) {
+      const __m256 w8 = exp8(_mm256_sub_ps(s[r], _mm256_set1_ps(m_run[r])));
+      _mm256_store_ps(wbuf[r], w8);
+      bsum[r] = hsum8(w8);
+    }
+#pragma GCC unroll 8
+    for (int t = 0; t < 8; ++t) {
+#pragma GCC unroll 4
+      for (int b = 0; b < NB; ++b) {
+        const __m256 vt = _mm256_loadu_ps(vb + t * ldk + b * 8);
+#pragma GCC unroll 4
+        for (int r = 0; r < kTileRows; ++r) {
+          accv[r][b] = _mm256_fmadd_ps(_mm256_broadcast_ss(wbuf[r] + t), vt, accv[r][b]);
+        }
+      }
+    }
+    for (int r = 0; r < kTileRows; ++r) l_run[r] += bsum[r];
+  }
+  for (int r = 0; r < kTileRows; ++r) {
+    online_row_reg(q + r * ldq, kh + common * ldk, vh + common * ldk, ldk, NB * 8, sc,
+                   jn[r] - common, accv[r], m_run[r], l_run[r]);
+    for (int b = 0; b < NB; ++b) _mm256_storeu_ps(acc + r * ldq + b * 8, accv[r][b]);
+    m[r * ldm] = m_run[r];
+    l[r * ldm] = l_run[r];
+  }
+}
+
+// Calls f(std::integral_constant<int, NB>) for a register-path head dim d,
+// NB = d / 8 in 1..4.
+template <typename F>
+inline void with_nb(std::int64_t d, const F& f) {
+  switch (d / 8) {
+    case 1:
+      return f(std::integral_constant<int, 1>{});
+    case 2:
+      return f(std::integral_constant<int, 2>{});
+    case 3:
+      return f(std::integral_constant<int, 3>{});
+    default:
+      return f(std::integral_constant<int, 4>{});
   }
 }
 
@@ -441,32 +580,64 @@ void attn_forward(const float* q, const float* k, const float* v, float* out, fl
                   const AttnDims& dm, bool causal, std::int64_t q_pos0, std::int64_t k_pos0) {
   const float sc = 1.0f / std::sqrt(static_cast<float>(dm.d));
   const std::int64_t ldk = dm.hk * dm.d;
-  std::vector<float> scores(static_cast<std::size_t>(dm.sk));
+  const std::int64_t ldq = dm.h * dm.d;
+  const bool reg = dm.d % 8 == 0 && dm.d <= kMaxRegD;
+  std::vector<float> scores(static_cast<std::size_t>(reg ? 0 : dm.sk));
+  // Normalises a register-path output row holding its accumulator. A row
+  // that sees no key is the identity element: zeros, lse = -inf.
+  const auto finish = [&](std::int64_t row, std::int64_t jn, float m, float z) {
+    float* orow = out + row * dm.d;
+    if (jn == 0) {
+      std::fill(orow, orow + dm.d, 0.0f);
+      lse[row] = kNegInf;
+      return;
+    }
+    const __m256 inv = _mm256_set1_ps(1.0f / z);
+    for (std::int64_t p = 0; p < dm.d; p += 8) {
+      _mm256_storeu_ps(orow + p, _mm256_mul_ps(_mm256_loadu_ps(orow + p), inv));
+    }
+    lse[row] = m + std::log(z);
+  };
   for (std::int64_t hd = 0; hd < dm.h; ++hd) {
     const std::int64_t kv_head = hd / dm.group;
     const float* kh = k + kv_head * dm.d;
     const float* vh = v + kv_head * dm.d;
-    for (std::int64_t i = 0; i < dm.sq; ++i) {
+    std::int64_t i = 0;
+    for (; reg && i + kTileRows <= dm.sq; i += kTileRows) {
+      const std::int64_t row = i * dm.h + hd;
+      std::int64_t jn[kTileRows];
+      float m[kTileRows];
+      float z[kTileRows];
+      for (int r = 0; r < kTileRows; ++r) {
+        std::fill_n(out + (row + r * dm.h) * dm.d, dm.d, 0.0f);
+        jn[r] = causal_bound(causal, q_pos0 + i + r, k_pos0, dm.sk);
+        m[r] = kNegInf;
+        z[r] = 0.0f;
+      }
+      with_nb(dm.d, [&](auto nb) {
+        online_tile_reg<decltype(nb)::value>(q + row * dm.d, out + row * dm.d, ldq, m, z, 1, kh,
+                                             vh, ldk, sc, jn);
+      });
+      for (int r = 0; r < kTileRows; ++r) finish(row + r * dm.h, jn[r], m[r], z[r]);
+    }
+    for (; i < dm.sq; ++i) {
       const float* qrow = q + (i * dm.h + hd) * dm.d;
       float* orow = out + (i * dm.h + hd) * dm.d;
       const std::int64_t jn = causal_bound(causal, q_pos0 + i, k_pos0, dm.sk);
-      if (jn == 0) {
-        std::fill(orow, orow + dm.d, 0.0f);
-        lse[i * dm.h + hd] = kNegInf;
-        continue;
-      }
-      if (dm.d % 8 == 0 && dm.d <= kMaxRegD) {
+      if (reg) {
         __m256 accv[4];
         const std::int64_t nb = dm.d / 8;
         for (std::int64_t b = 0; b < nb; ++b) accv[b] = _mm256_setzero_ps();
         float m = kNegInf;
         float z = 0.0f;
         online_row_reg(qrow, kh, vh, ldk, dm.d, sc, jn, accv, m, z);
-        const __m256 inv = _mm256_set1_ps(1.0f / z);
-        for (std::int64_t b = 0; b < nb; ++b) {
-          _mm256_storeu_ps(orow + b * 8, _mm256_mul_ps(accv[b], inv));
-        }
-        lse[i * dm.h + hd] = m + std::log(z);
+        for (std::int64_t b = 0; b < nb; ++b) _mm256_storeu_ps(orow + b * 8, accv[b]);
+        finish(i * dm.h + hd, jn, m, z);
+        continue;
+      }
+      if (jn == 0) {
+        std::fill(orow, orow + dm.d, 0.0f);
+        lse[i * dm.h + hd] = kNegInf;
         continue;
       }
       score_row(qrow, kh, ldk, dm.d, sc, scores.data(), jn);
@@ -484,19 +655,35 @@ void online_attn_step(float* acc, float* row_max, float* row_sum, const float* q
                       std::int64_t k_pos0) {
   const float sc = 1.0f / std::sqrt(static_cast<float>(dm.d));
   const std::int64_t ldk = dm.hk * dm.d;
-  std::vector<float> scores(static_cast<std::size_t>(dm.sk));
+  const std::int64_t ldq = dm.h * dm.d;
+  const bool reg = dm.d % 8 == 0 && dm.d <= kMaxRegD;
+  std::vector<float> scores(static_cast<std::size_t>(reg ? 0 : dm.sk));
   for (std::int64_t hd = 0; hd < dm.h; ++hd) {
     const std::int64_t kv_head = hd / dm.group;
     const float* kh = k + kv_head * dm.d;
     const float* vh = v + kv_head * dm.d;
-    for (std::int64_t i = 0; i < dm.sq; ++i) {
+    std::int64_t i = 0;
+    // A row that sees no key keeps its state: its sweep is empty.
+    for (; reg && i + kTileRows <= dm.sq; i += kTileRows) {
+      const std::int64_t row = i * dm.h + hd;
+      std::int64_t jn[kTileRows];
+      for (int r = 0; r < kTileRows; ++r) {
+        jn[r] = causal_bound(causal, q_pos0 + i + r, k_pos0, dm.sk);
+      }
+      with_nb(dm.d, [&](auto nb) {
+        online_tile_reg<decltype(nb)::value>(q + row * dm.d, acc + row * dm.d, ldq,
+                                             row_max + row, row_sum + row, dm.h, kh, vh, ldk,
+                                             sc, jn);
+      });
+    }
+    for (; i < dm.sq; ++i) {
       const float* qrow = q + (i * dm.h + hd) * dm.d;
       const std::int64_t jn = causal_bound(causal, q_pos0 + i, k_pos0, dm.sk);
       if (jn == 0) continue;
       float& m_run = row_max[i * dm.h + hd];
       float& l_run = row_sum[i * dm.h + hd];
       float* arow = acc + (i * dm.h + hd) * dm.d;
-      if (dm.d % 8 == 0 && dm.d <= kMaxRegD) {
+      if (reg) {
         __m256 accv[4];
         const std::int64_t nb = dm.d / 8;
         for (std::int64_t b = 0; b < nb; ++b) accv[b] = _mm256_loadu_ps(arow + b * 8);
@@ -517,81 +704,179 @@ void online_attn_step(float* acc, float* row_max, float* row_sum, const float* q
   }
 }
 
+namespace {
+
+// Unlike the forward pass there is no row-max recurrence in the backward —
+// lse is saved state — so every key is independent and the whole backward
+// fuses into ONE sweep over 8-key blocks: scores, probabilities, dq/dk/dv
+// all touch each k/v row while it is still hot in L1, instead of four
+// separate L2-bound sweeps over the chunk per query row.
+struct BackwardRow {
+  const float* q;
+  const float* dout;
+  float lse;
+  float D;
+  float* dq;
+};
+
+// One query row's backward over keys [j_begin, jn), j_begin a multiple of 8.
+void backward_row(const BackwardRow& row, const float* kh, const float* vh, float* dkh,
+                  float* dvh, std::int64_t ldk, std::int64_t d, float sc, std::int64_t j_begin,
+                  std::int64_t jn) {
+  alignas(32) float sbuf[8];
+  alignas(32) float prb[8];
+  alignas(32) float dsb[8];
+  const float* qrow = row.q;
+  const float* grow = row.dout;
+  float* dqrow = row.dq;
+  for (std::int64_t j0 = j_begin; j0 < jn; j0 += 8) {
+    const std::int64_t jb = std::min<std::int64_t>(8, jn - j0);
+    const float* kb = kh + j0 * ldk;
+    const float* vb = vh + j0 * ldk;
+    if (jb == 8) {
+      dot8(qrow, kb, ldk, d, sc, sbuf);   // s_t   = <q, k_t> * sc
+      dot8(grow, vb, ldk, d, 1.0f, dsb);  // dp_t  = <dout, v_t>
+      const __m256 pr = exp8(_mm256_sub_ps(_mm256_load_ps(sbuf), _mm256_set1_ps(row.lse)));
+      _mm256_store_ps(prb, pr);
+      const __m256 ds8 = _mm256_mul_ps(
+          _mm256_mul_ps(pr, _mm256_sub_ps(_mm256_load_ps(dsb), _mm256_set1_ps(row.D))),
+          _mm256_set1_ps(sc));
+      _mm256_store_ps(dsb, ds8);
+    } else {
+      for (std::int64_t t = 0; t < jb; ++t) {
+        const float s = dot(qrow, kb + t * ldk, d) * sc;
+        prb[t] = std::exp(s - row.lse);
+        dsb[t] = prb[t] * (dot(grow, vb + t * ldk, d) - row.D) * sc;
+      }
+    }
+    // dq_i += ds_t k_t; dv_t += prob_t dout_i; dk_t += ds_t q_i — the
+    // k rows are still in L1 from the score dots above.
+    std::int64_t p = 0;
+    for (; p + 8 <= d; p += 8) {
+      const __m256 g8 = _mm256_loadu_ps(grow + p);
+      const __m256 q8 = _mm256_loadu_ps(qrow + p);
+      __m256 dqa = _mm256_loadu_ps(dqrow + p);
+      for (std::int64_t t = 0; t < jb; ++t) {
+        const __m256 dst = _mm256_broadcast_ss(dsb + t);
+        dqa = _mm256_fmadd_ps(dst, _mm256_loadu_ps(kb + t * ldk + p), dqa);
+        float* dvp = dvh + (j0 + t) * ldk + p;
+        float* dkp = dkh + (j0 + t) * ldk + p;
+        _mm256_storeu_ps(dvp,
+                         _mm256_fmadd_ps(_mm256_broadcast_ss(prb + t), g8, _mm256_loadu_ps(dvp)));
+        _mm256_storeu_ps(dkp, _mm256_fmadd_ps(dst, q8, _mm256_loadu_ps(dkp)));
+      }
+      _mm256_storeu_ps(dqrow + p, dqa);
+    }
+    for (; p < d; ++p) {
+      float a = dqrow[p];
+      for (std::int64_t t = 0; t < jb; ++t) {
+        a += dsb[t] * kb[t * ldk + p];
+        dvh[(j0 + t) * ldk + p] += prb[t] * grow[p];
+        dkh[(j0 + t) * ldk + p] += dsb[t] * qrow[p];
+      }
+      dqrow[p] = a;
+    }
+  }
+}
+
+// A tile of kTileRows consecutive query rows over their common full
+// blocks, then each row's own remaining blocks in backward_row. Per block,
+// every row's p and ds come from backward_row's arithmetic. Then, one
+// 8-float column slice at a time, each dk/dv row is loaded once, takes the
+// tile rows' FMAs in ascending row order (the order the single-row sweep
+// applies them) and is stored once; dq takes its keys in ascending order.
+template <int NB>
+void backward_tile_reg(const BackwardRow rows[kTileRows], const std::int64_t jn[kTileRows],
+                       const float* kh, const float* vh, float* dkh, float* dvh,
+                       std::int64_t ldk, float sc) {
+  std::int64_t common = jn[0];
+  for (int r = 1; r < kTileRows; ++r) common = std::min(common, jn[r]);
+  common -= common % 8;
+  alignas(32) float prb[kTileRows][8];
+  alignas(32) float dsb[kTileRows][8];
+  const __m256 vsc = _mm256_set1_ps(sc);
+  for (std::int64_t j0 = 0; j0 < common; j0 += 8) {
+    const float* kb = kh + j0 * ldk;
+    const float* vb = vh + j0 * ldk;
+#pragma GCC unroll 4
+    for (int r = 0; r < kTileRows; ++r) {
+      const __m256 s = scaled(dot8_reg<NB>(rows[r].q, kb, ldk), vsc);
+      const __m256 dp = dot8_reg<NB>(rows[r].dout, vb, ldk);
+      const __m256 pr = exp8(_mm256_sub_ps(s, _mm256_set1_ps(rows[r].lse)));
+      _mm256_store_ps(prb[r], pr);
+      _mm256_store_ps(dsb[r], _mm256_mul_ps(
+                                  _mm256_mul_ps(pr, _mm256_sub_ps(dp, _mm256_set1_ps(rows[r].D))),
+                                  vsc));
+    }
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      __m256 q8[kTileRows], g8[kTileRows], dqa[kTileRows];
+#pragma GCC unroll 4
+      for (int r = 0; r < kTileRows; ++r) {
+        q8[r] = _mm256_loadu_ps(rows[r].q + b * 8);
+        g8[r] = _mm256_loadu_ps(rows[r].dout + b * 8);
+        dqa[r] = _mm256_loadu_ps(rows[r].dq + b * 8);
+      }
+#pragma GCC unroll 8
+      for (int t = 0; t < 8; ++t) {
+        const __m256 kt = _mm256_loadu_ps(kb + t * ldk + b * 8);
+        float* dvp = dvh + (j0 + t) * ldk + b * 8;
+        float* dkp = dkh + (j0 + t) * ldk + b * 8;
+        __m256 dva = _mm256_loadu_ps(dvp);
+        __m256 dka = _mm256_loadu_ps(dkp);
+#pragma GCC unroll 4
+        for (int r = 0; r < kTileRows; ++r) {
+          const __m256 dst = _mm256_broadcast_ss(dsb[r] + t);
+          dqa[r] = _mm256_fmadd_ps(dst, kt, dqa[r]);
+          dva = _mm256_fmadd_ps(_mm256_broadcast_ss(prb[r] + t), g8[r], dva);
+          dka = _mm256_fmadd_ps(dst, q8[r], dka);
+        }
+        _mm256_storeu_ps(dvp, dva);
+        _mm256_storeu_ps(dkp, dka);
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < kTileRows; ++r) _mm256_storeu_ps(rows[r].dq + b * 8, dqa[r]);
+    }
+  }
+  for (int r = 0; r < kTileRows; ++r) {
+    backward_row(rows[r], kh, vh, dkh, dvh, ldk, NB * 8, sc, common, jn[r]);
+  }
+}
+
+}  // namespace
+
 void online_attn_backward_step(const float* q, const float* k, const float* v, const float* dout,
                                const float* lse, const float* D, const AttnDims& dm, bool causal,
                                std::int64_t q_pos0, std::int64_t k_pos0, float* dq, float* dk,
                                float* dv) {
-  // Unlike the forward pass there is no row-max recurrence here — lse is
-  // saved state — so every key is independent and the whole backward fuses
-  // into ONE sweep over 8-key blocks: scores, probabilities, dq/dk/dv all
-  // touch each k/v row while it is still hot in L1, instead of four
-  // separate L2-bound sweeps over the chunk per query row.
   const float sc = 1.0f / std::sqrt(static_cast<float>(dm.d));
   const std::int64_t ldk = dm.hk * dm.d;
-  alignas(32) float sbuf[8];
-  alignas(32) float prb[8];
-  alignas(32) float dsb[8];
+  const bool reg = dm.d % 8 == 0 && dm.d <= kMaxRegD;
+  const auto row_of = [&](std::int64_t i, std::int64_t hd) {
+    const std::int64_t row = i * dm.h + hd;
+    return BackwardRow{q + row * dm.d, dout + row * dm.d, lse[row], D[row], dq + row * dm.d};
+  };
   for (std::int64_t hd = 0; hd < dm.h; ++hd) {
     const std::int64_t kv_head = hd / dm.group;
     const float* kh = k + kv_head * dm.d;
     const float* vh = v + kv_head * dm.d;
     float* dkh = dk + kv_head * dm.d;
     float* dvh = dv + kv_head * dm.d;
-    for (std::int64_t i = 0; i < dm.sq; ++i) {
-      const float* qrow = q + (i * dm.h + hd) * dm.d;
-      const std::int64_t jn = causal_bound(causal, q_pos0 + i, k_pos0, dm.sk);
-      const float row_lse = lse[i * dm.h + hd];
-      const float Drow = D[i * dm.h + hd];
-      const float* grow = dout + (i * dm.h + hd) * dm.d;
-      float* dqrow = dq + (i * dm.h + hd) * dm.d;
-      for (std::int64_t j0 = 0; j0 < jn; j0 += 8) {
-        const std::int64_t jb = std::min<std::int64_t>(8, jn - j0);
-        const float* kb = kh + j0 * ldk;
-        const float* vb = vh + j0 * ldk;
-        if (jb == 8) {
-          dot8(qrow, kb, ldk, dm.d, sc, sbuf);   // s_t   = <q, k_t> * sc
-          dot8(grow, vb, ldk, dm.d, 1.0f, dsb);  // dp_t  = <dout, v_t>
-          const __m256 pr = exp8(_mm256_sub_ps(_mm256_load_ps(sbuf), _mm256_set1_ps(row_lse)));
-          _mm256_store_ps(prb, pr);
-          const __m256 ds8 = _mm256_mul_ps(
-              _mm256_mul_ps(pr, _mm256_sub_ps(_mm256_load_ps(dsb), _mm256_set1_ps(Drow))),
-              _mm256_set1_ps(sc));
-          _mm256_store_ps(dsb, ds8);
-        } else {
-          for (std::int64_t t = 0; t < jb; ++t) {
-            const float s = dot(qrow, kb + t * ldk, dm.d) * sc;
-            prb[t] = std::exp(s - row_lse);
-            dsb[t] = prb[t] * (dot(grow, vb + t * ldk, dm.d) - Drow) * sc;
-          }
-        }
-        // dq_i += ds_t k_t; dv_t += prob_t dout_i; dk_t += ds_t q_i — the
-        // k rows are still in L1 from the score dots above.
-        std::int64_t p = 0;
-        for (; p + 8 <= dm.d; p += 8) {
-          const __m256 g8 = _mm256_loadu_ps(grow + p);
-          const __m256 q8 = _mm256_loadu_ps(qrow + p);
-          __m256 dqa = _mm256_loadu_ps(dqrow + p);
-          for (std::int64_t t = 0; t < jb; ++t) {
-            const __m256 dst = _mm256_broadcast_ss(dsb + t);
-            dqa = _mm256_fmadd_ps(dst, _mm256_loadu_ps(kb + t * ldk + p), dqa);
-            float* dvp = dvh + (j0 + t) * ldk + p;
-            float* dkp = dkh + (j0 + t) * ldk + p;
-            _mm256_storeu_ps(dvp,
-                             _mm256_fmadd_ps(_mm256_broadcast_ss(prb + t), g8, _mm256_loadu_ps(dvp)));
-            _mm256_storeu_ps(dkp, _mm256_fmadd_ps(dst, q8, _mm256_loadu_ps(dkp)));
-          }
-          _mm256_storeu_ps(dqrow + p, dqa);
-        }
-        for (; p < dm.d; ++p) {
-          float a = dqrow[p];
-          for (std::int64_t t = 0; t < jb; ++t) {
-            a += dsb[t] * kb[t * ldk + p];
-            dvh[(j0 + t) * ldk + p] += prb[t] * grow[p];
-            dkh[(j0 + t) * ldk + p] += dsb[t] * qrow[p];
-          }
-          dqrow[p] = a;
-        }
+    std::int64_t i = 0;
+    for (; reg && i + kTileRows <= dm.sq; i += kTileRows) {
+      BackwardRow rows[kTileRows];
+      std::int64_t jn[kTileRows];
+      for (int r = 0; r < kTileRows; ++r) {
+        rows[r] = row_of(i + r, hd);
+        jn[r] = causal_bound(causal, q_pos0 + i + r, k_pos0, dm.sk);
       }
+      with_nb(dm.d, [&](auto nb) {
+        backward_tile_reg<decltype(nb)::value>(rows, jn, kh, vh, dkh, dvh, ldk, sc);
+      });
+    }
+    for (; i < dm.sq; ++i) {
+      backward_row(row_of(i, hd), kh, vh, dkh, dvh, ldk, dm.d, sc, 0,
+                   causal_bound(causal, q_pos0 + i, k_pos0, dm.sk));
     }
   }
 }

@@ -335,10 +335,9 @@ ProfileResult run_profile(const ProfileOptions& opt) {
     }
     StepStats st = profiler.end_step(step, s_global, loss);
     st.set_host_times(wall_s, cpu_s);
+    // Host-clock figures stay out of the trace, which holds only the
+    // deterministic virtual clock: two runs of one build give the same file.
     MetricsRegistry::global().gauge("host.parallel_efficiency").set(st.parallel_efficiency);
-    if (opt.trace) {
-      tracer.counter(kCatPerf, "parallel_efficiency", 0, st.parallel_efficiency);
-    }
     result.steps.push_back(st);
     result.final_loss = loss;
   }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -100,6 +103,22 @@ void Tracer::counter(std::string category, std::string name, int rank, double va
   push_locked(std::move(ev));
 }
 
+void Tracer::counter_change(std::string category, std::string name, int rank, double total,
+                            double delta, int clock_rank) {
+  TraceEvent ev;
+  ev.kind = TraceEvent::Kind::kCounter;
+  ev.category = std::move(category);
+  ev.name = std::move(name);
+  ev.rank = rank;
+  ev.value = total;
+  ev.has_value = true;
+  ev.has_delta = true;
+  ev.delta = delta;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (auto it = clocks_.find(clock_rank); it != clocks_.end()) ev.ts_s = it->second;
+  push_locked(std::move(ev));
+}
+
 double Tracer::clock(int rank) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = clocks_.find(rank);
@@ -168,20 +187,58 @@ std::string json_escape(const std::string& s) {
 // (host pool) get a dedicated high pid so Perfetto shows a "node" process.
 int pid_of(int rank) { return rank >= 0 ? rank : 9999; }
 
+// Bit pattern of a double: a total order (NaN included) that matches the
+// numeric one for the non-negative timestamps the trace holds.
+std::uint64_t order_bits(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A total order over every field an event writes, so sorting by it makes
+// the document independent of the order threads recorded the events in.
+bool event_before(const TraceEvent& a, const TraceEvent& b) {
+  const auto key = [](const TraceEvent& e) {
+    // A shared counter's recorded total depends on thread interleaving;
+    // its delta does not, and its exported value is rebuilt from deltas.
+    return std::make_tuple(pid_of(e.rank), std::cref(e.track), order_bits(e.ts_s),
+                           order_bits(e.dur_s), static_cast<int>(e.kind), std::cref(e.name),
+                           std::cref(e.category), e.has_value, e.has_delta,
+                           order_bits(e.has_delta ? e.delta : e.value));
+  };
+  return key(a) < key(b);
+}
+
 }  // namespace
 
 std::string Tracer::chrome_trace_json() const {
-  const std::vector<TraceEvent> evs = events();
+  std::vector<TraceEvent> evs = events();
+  // Shared counters start from the total before their first recorded
+  // change (the total when tracing began, unless the ring dropped events).
+  std::map<std::pair<int, std::string>, double> shared_totals;
+  for (const TraceEvent& ev : evs) {
+    if (!ev.has_delta) continue;
+    shared_totals.emplace(std::make_pair(pid_of(ev.rank), ev.name), ev.value - ev.delta);
+  }
+  std::sort(evs.begin(), evs.end(), event_before);
+  for (TraceEvent& ev : evs) {
+    if (!ev.has_delta) continue;
+    double& total = shared_totals[std::make_pair(pid_of(ev.rank), ev.name)];
+    total += ev.delta;
+    ev.value = total;
+  }
 
-  // Stable tid assignment per (pid, track) so each stream gets its own lane.
+  // One lane per (pid, track), numbered in sorted key order: the numbering
+  // must not depend on which thread's event reached the buffer first.
   std::map<std::pair<int, std::string>, int> tids;
-  auto tid_of = [&tids](int pid, const std::string& track) {
-    const auto key = std::make_pair(pid, track);
-    const auto it = tids.find(key);
-    if (it != tids.end()) return it->second;
-    const int tid = static_cast<int>(tids.size());
-    tids.emplace(key, tid);
-    return tid;
+  for (const TraceEvent& ev : evs) {
+    if (ev.kind == TraceEvent::Kind::kCounter) continue;
+    tids.emplace(std::make_pair(pid_of(ev.rank), ev.track), 0);
+  }
+  int next_tid = 0;
+  for (auto& [key, tid] : tids) tid = next_tid++;
+  const auto tid_of = [&tids](int pid, const std::string& track) {
+    return tids.at(std::make_pair(pid, track));
   };
 
   std::ostringstream os;

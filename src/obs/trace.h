@@ -62,6 +62,9 @@ struct TraceEvent {
   double dur_s = 0.0;  // kComplete only
   double value = 0.0;  // kCounter always; kComplete/kInstant when has_value
   bool has_value = false;
+  // kCounter from Tracer::counter_change: the change that produced value.
+  bool has_delta = false;
+  double delta = 0.0;
 };
 
 // Global enable flag. Kept outside the Tracer so the disabled check is one
@@ -91,6 +94,12 @@ class Tracer {
   // pass the acting rank for node-level pools whose own rank is kNodeRank).
   void counter(std::string category, std::string name, int rank, double value,
                int clock_rank = kClockOfRank);
+  // A counter that several threads move, each by `delta` (a node-shared
+  // pool): `total` after the change depends on how the threads interleaved,
+  // so chrome_trace_json() rebuilds the series in timestamp order as the
+  // total before its first sample plus the running sum of deltas.
+  void counter_change(std::string category, std::string name, int rank, double total,
+                      double delta, int clock_rank);
 
   // Per-rank virtual clock: the finish time of the last drained stream task.
   // advance_clock is monotonic (max of current and t).

@@ -117,14 +117,14 @@ class MemoryPool {
     }
     used_ += bytes;
     peak_ = std::max(peak_, used_ + staging_);
-    record_locked();
+    record_locked(bytes);
   }
 
   void discharge(std::int64_t bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     FPDT_CHECK_LE(bytes, used_) << " discharge underflow on " << name_;
     used_ -= bytes;
-    record_locked();
+    record_locked(-bytes);
   }
 
   // ---- Staging charges: bytes reserved for in-flight stream transfers. ----
@@ -149,26 +149,32 @@ class MemoryPool {
     }
     staging_ += bytes;
     peak_ = std::max(peak_, used_ + staging_);
-    record_locked();
+    record_locked(bytes);
   }
 
   void discharge_staging(std::int64_t bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     FPDT_CHECK_LE(bytes, staging_) << " staging discharge underflow on " << name_;
     staging_ -= bytes;
-    record_locked();
+    record_locked(-bytes);
   }
 
  private:
-  void record_locked() {
+  void record_locked(std::int64_t delta) {
     if (recording_) timeline_.push_back({tick_++, used_ + staging_, phase_label_});
     if (obs::tracing_enabled()) {
-      // Node-shared pools (rank kNodeRank) have no clock of their own; stamp
-      // their samples at the acting rank's virtual clock.
-      const int clock_rank = trace_rank_ >= 0 ? trace_rank_ : std::max(current_rank(), 0);
-      obs::Tracer::instance().counter(obs::kCatMemory, trace_name_.empty() ? name_ : trace_name_,
-                                      trace_rank_, static_cast<double>(used_ + staging_),
-                                      clock_rank);
+      obs::Tracer& tracer = obs::Tracer::instance();
+      const std::string& name = trace_name_.empty() ? name_ : trace_name_;
+      const double total = static_cast<double>(used_ + staging_);
+      if (trace_rank_ >= 0) {
+        tracer.counter(obs::kCatMemory, name, trace_rank_, total);
+      } else {
+        // Node-shared pools (rank kNodeRank) have no clock of their own and
+        // several ranks move them: stamp each change at the acting rank's
+        // virtual clock and let the trace rebuild the total from changes.
+        tracer.counter_change(obs::kCatMemory, name, trace_rank_, total,
+                              static_cast<double>(delta), std::max(current_rank(), 0));
+      }
     }
   }
 

@@ -11,6 +11,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -559,6 +563,252 @@ TEST(SimdDifferentialTest, ForkedRowsMatchSerial) {
   EXPECT_EQ(max_abs_diff(serial_mm, forked_mm), 0.0);
   EXPECT_EQ(max_abs_diff(serial_attn.out, forked_attn.out), 0.0);
   EXPECT_EQ(max_abs_diff(serial_attn.lse, forked_attn.lse), 0.0);
+}
+
+// ---- simd attention: golden digests and row-split invariance ---------------
+//
+// The AVX2 attention kernels work on tiles of query rows, but every row's
+// arithmetic is fixed: the same 8-key blocks counted from key 0, the same
+// reduction trees, the same FMA order. These tests pin that contract
+// bitwise. The digests were captured from the single-row kernels the tiles
+// replaced; the row-split test checks that tile edges never show in a row.
+
+// Uniform floats in [-2, 2) from splitmix64, so the inputs do not depend on
+// the platform's libm the way Rng::next_normal does.
+std::vector<float> hash_floats(std::int64_t n, std::uint64_t seed) {
+  std::vector<float> out(static_cast<std::size_t>(n));
+  std::uint64_t s = seed * 0x2545F4914F6CDD1Dull;
+  for (float& x : out) {
+    s += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = s;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    x = static_cast<float>(static_cast<std::int64_t>(z >> 40) - (std::int64_t{1} << 23)) /
+        static_cast<float>(std::int64_t{1} << 22);
+  }
+  return out;
+}
+
+// FNV-1a over the float bit patterns. NaNs hash as one canonical pattern:
+// the contract covers where NaN appears, not which payload an FMA forwards.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(const std::vector<float>& xs) {
+    for (const float x : xs) {
+      std::uint32_t bits = 0x7FC00000u;
+      if (!std::isnan(x)) std::memcpy(&bits, &x, sizeof(bits));
+      for (int b = 0; b < 4; ++b) {
+        h ^= (bits >> (8 * b)) & 0xFFu;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+};
+
+struct AttnMask {
+  bool causal;
+  std::int64_t q_pos0, k_pos0;
+};
+
+// Non-causal; the diagonal chunk; a chunk every row sees past its end
+// (partially masked blocks); and leading rows that see no key at all.
+constexpr AttnMask kGoldenMasks[] = {{false, 0, 0}, {true, 0, 0}, {true, 13, 0}, {true, 0, 3}};
+
+struct AttnInputs {
+  kernels::AttnDims dm;
+  std::vector<float> q, k, v, k2, v2, dout;
+};
+
+// Inputs for one golden case. Key 0 (and key 5) of kv head 0 carry a -inf
+// coordinate against a positive query coordinate, so every query of that
+// group gets genuine -inf logits there (the causal diagonal's first row has
+// only -inf logits, and 0/0 must give NaN). The last key of the last kv
+// head and one query row of the last head carry NaN.
+AttnInputs golden_inputs(const kernels::AttnDims& dm, std::uint64_t seed) {
+  AttnInputs in;
+  in.dm = dm;
+  const std::int64_t nq = dm.sq * dm.h * dm.d, nk = dm.sk * dm.hk * dm.d;
+  in.q = hash_floats(nq, 6 * seed);
+  in.k = hash_floats(nk, 6 * seed + 1);
+  in.v = hash_floats(nk, 6 * seed + 2);
+  in.k2 = hash_floats(nk, 6 * seed + 3);
+  in.v2 = hash_floats(nk, 6 * seed + 4);
+  in.dout = hash_floats(nq, 6 * seed + 5);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t i = 0; i < dm.sq; ++i) {
+    for (std::int64_t hd = 0; hd < dm.group; ++hd) {
+      float& x = in.q[static_cast<std::size_t>((i * dm.h + hd) * dm.d)];
+      x = std::abs(x) + 0.25f;
+    }
+  }
+  for (const std::int64_t key : {std::int64_t{0}, std::int64_t{5}}) {
+    if (key < dm.sk) in.k[static_cast<std::size_t>(key * dm.hk * dm.d)] = -inf;
+  }
+  in.k[static_cast<std::size_t>(((dm.sk - 1) * dm.hk + dm.hk - 1) * dm.d + 1)] = nan;
+  in.q[static_cast<std::size_t>(((dm.sq / 2) * dm.h + dm.h - 1) * dm.d + 1)] = nan;
+  return in;
+}
+
+struct AttnOutputs {
+  std::vector<float> out, lse;                // attn_forward
+  std::vector<float> acc, row_max, row_sum;   // two online_attn_steps
+  std::vector<float> dq, dk, dv;              // online_attn_backward_step
+};
+
+// Runs the three simd attention kernels on one case, over query rows
+// [r0, r1) of it; outputs hold all sq rows (dk/dv accumulate).
+void run_attn_rows(const AttnInputs& in, const AttnMask& mk, std::int64_t r0, std::int64_t r1,
+                   AttnOutputs& o) {
+  const kernels::Backend& simd = kernels::backend("simd");
+  kernels::AttnDims sub = in.dm;
+  sub.sq = r1 - r0;
+  const std::int64_t hd_stride = in.dm.h * in.dm.d;
+  const std::int64_t qo = r0 * hd_stride, ro = r0 * in.dm.h;
+  const std::int64_t qp = mk.q_pos0 + r0;
+  simd.attn_forward(in.q.data() + qo, in.k.data(), in.v.data(), o.out.data() + qo,
+                    o.lse.data() + ro, sub, mk.causal, qp, mk.k_pos0);
+  simd.online_attn_step(o.acc.data() + qo, o.row_max.data() + ro, o.row_sum.data() + ro,
+                        in.q.data() + qo, in.k.data(), in.v.data(), sub, mk.causal, qp,
+                        mk.k_pos0);
+  simd.online_attn_step(o.acc.data() + qo, o.row_max.data() + ro, o.row_sum.data() + ro,
+                        in.q.data() + qo, in.k2.data(), in.v2.data(), sub, mk.causal, qp,
+                        mk.k_pos0);
+  // D = rowsum(dout * out), in a fixed scalar order.
+  std::vector<float> D(static_cast<std::size_t>(sub.sq * in.dm.h));
+  for (std::int64_t r = 0; r < sub.sq * in.dm.h; ++r) {
+    float acc = 0.0f;
+    for (std::int64_t p = 0; p < in.dm.d; ++p) {
+      acc += in.dout[qo + r * in.dm.d + p] * o.out[qo + r * in.dm.d + p];
+    }
+    D[r] = acc;
+  }
+  simd.online_attn_backward_step(in.q.data() + qo, in.k.data(), in.v.data(),
+                                 in.dout.data() + qo, o.lse.data() + ro, D.data(), sub,
+                                 mk.causal, qp, mk.k_pos0, o.dq.data() + qo, o.dk.data(),
+                                 o.dv.data());
+}
+
+AttnOutputs fresh_outputs(const kernels::AttnDims& dm, std::uint64_t seed) {
+  const std::int64_t nq = dm.sq * dm.h * dm.d, nk = dm.sk * dm.hk * dm.d;
+  const std::size_t nr = static_cast<std::size_t>(dm.sq * dm.h);
+  AttnOutputs o;
+  o.out.assign(static_cast<std::size_t>(nq), 0.0f);
+  o.lse.assign(nr, 0.0f);
+  o.acc.assign(static_cast<std::size_t>(nq), 0.0f);
+  o.row_max.assign(nr, -std::numeric_limits<float>::infinity());
+  o.row_sum.assign(nr, 0.0f);
+  // Gradients accumulate into existing contents.
+  o.dq = hash_floats(nq, 7 * seed);
+  o.dk = hash_floats(nk, 7 * seed + 1);
+  o.dv = hash_floats(nk, 7 * seed + 2);
+  return o;
+}
+
+struct GoldenDigests {
+  std::uint64_t fwd, step, bwd;
+};
+
+GoldenDigests golden_digests(std::int64_t d, std::int64_t group) {
+  const std::int64_t h = 4;
+  Digest fwd, step, bwd;
+  std::uint64_t seed = 1000 * static_cast<std::uint64_t>(d) + static_cast<std::uint64_t>(group);
+  for (const std::int64_t sq : {1, 3, 4, 5, 257}) {
+    for (const std::int64_t sk : {1, 7, 8, 9, 512}) {
+      for (const AttnMask& mk : kGoldenMasks) {
+        ++seed;
+        const kernels::AttnDims dm{sq, sk, h, h / group, d, group};
+        const AttnInputs in = golden_inputs(dm, seed);
+        AttnOutputs o = fresh_outputs(dm, seed);
+        run_attn_rows(in, mk, 0, sq, o);
+        fwd.add(o.out);
+        fwd.add(o.lse);
+        step.add(o.acc);
+        step.add(o.row_max);
+        step.add(o.row_sum);
+        bwd.add(o.dq);
+        bwd.add(o.dk);
+        bwd.add(o.dv);
+      }
+    }
+  }
+  return {fwd.h, step.h, bwd.h};
+}
+
+TEST(SimdGoldenTest, AttentionKernelsMatchGoldenDigests) {
+  if (!kernels::simd_uses_avx2()) GTEST_SKIP() << "simd backend is the portable fallback";
+  // d = 8, 16, 32 take the register path; d = 12 the materialised-scores
+  // fallback. h = 4 query heads over 4 / group kv heads.
+  struct Golden {
+    std::int64_t d, group;
+    GoldenDigests want;
+  };
+  const Golden golden[] = {
+      {8, 1, {0xcbd229c2414b6dd7ull, 0xe9d9d98490085fcbull, 0x47612cbe5d986628ull}},
+      {8, 2, {0x8b6482f5b59d4081ull, 0xbcaeebbc194e0806ull, 0x865fed6b6bd1291cull}},
+      {8, 4, {0x5aec30c4ae60c5a5ull, 0x131d1a3a7329e64eull, 0xe115e7851890b948ull}},
+      {16, 1, {0xf72f538bf6e2f028ull, 0x64cc41fd00e4c148ull, 0xb89de704404b311full}},
+      {16, 2, {0x44622bbaf36b6e3full, 0x5878ea3b97c80a1bull, 0x0acec4e3a15168efull}},
+      {16, 4, {0x4ffd29ff85ad17ebull, 0x2257d5e03a12758bull, 0xc5fe394538b82565ull}},
+      {32, 1, {0xccf1afd376c56023ull, 0xc8c00ba26a332c6aull, 0x46a02301ceb84f1aull}},
+      {32, 2, {0x1967b2330b11e51cull, 0x39af8f541c2b933full, 0xcad5c99de38629dbull}},
+      {32, 4, {0x26eddeac9cd750a6ull, 0xed98a875ec39723full, 0xa3fa585a3e2a1241ull}},
+      {12, 1, {0xfac889412e107a11ull, 0x21be094cb9e5d468ull, 0x4a5828d90efca601ull}},
+      {12, 2, {0xa28999eed3922704ull, 0x8bef3e1e64cc2c8full, 0xab6a2f15ef1ee60bull}},
+      {12, 4, {0x9a3d9c6bd7107624ull, 0x3cae3999894b8837ull, 0x927102a09e57fa4full}},
+  };
+  for (const Golden& g : golden) {
+    const GoldenDigests got = golden_digests(g.d, g.group);
+    const bool ok = got.fwd == g.want.fwd && got.step == g.want.step && got.bwd == g.want.bwd;
+    char line[160];
+    std::snprintf(line, sizeof(line), "{%lld, %lld, {0x%016llxull, 0x%016llxull, 0x%016llxull}}",
+                  static_cast<long long>(g.d), static_cast<long long>(g.group),
+                  static_cast<unsigned long long>(got.fwd),
+                  static_cast<unsigned long long>(got.step),
+                  static_cast<unsigned long long>(got.bwd));
+    EXPECT_TRUE(ok) << "digest drift, got " << line;
+  }
+}
+
+TEST(SimdGoldenTest, RowSplitsMatchWholeCall) {
+  // A call over a row range must give those rows exactly what one call over
+  // all rows gives them, wherever the range starts: tile edges move with
+  // it. For the backward, consecutive ranges accumulating into one dk/dv
+  // must equal one whole call, since both add rows in ascending order. (That
+  // needs one query head per kv head: a call adds head by head, so under GQA
+  // a split interleaves the group's heads differently.)
+  const std::int64_t sq = 37;
+  const std::int64_t cuts[] = {0, 1, 6, 19, 22, 23, 37};
+  for (const std::int64_t d : {8, 16, 32}) {
+    for (const AttnMask& mk : kGoldenMasks) {
+      const kernels::AttnDims dm{sq, 77, 4, 4, d, 1};
+      const std::uint64_t seed = 50 + static_cast<std::uint64_t>(d);
+      const AttnInputs in = golden_inputs(dm, seed);
+      AttnOutputs whole = fresh_outputs(dm, seed);
+      run_attn_rows(in, mk, 0, sq, whole);
+      AttnOutputs split = fresh_outputs(dm, seed);
+      for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+        run_attn_rows(in, mk, cuts[c], cuts[c + 1], split);
+      }
+      const auto same = [&](const std::vector<float>& a, const std::vector<float>& b,
+                            const char* what) {
+        Digest da, db;
+        da.add(a);
+        db.add(b);
+        EXPECT_EQ(da.h, db.h) << what << " d=" << d << " causal=" << mk.causal
+                              << " q_pos0=" << mk.q_pos0 << " k_pos0=" << mk.k_pos0;
+      };
+      same(whole.out, split.out, "out");
+      same(whole.lse, split.lse, "lse");
+      same(whole.acc, split.acc, "acc");
+      same(whole.row_max, split.row_max, "row_max");
+      same(whole.row_sum, split.row_sum, "row_sum");
+      same(whole.dq, split.dq, "dq");
+      same(whole.dk, split.dk, "dk");
+      same(whole.dv, split.dv, "dv");
+    }
+  }
 }
 
 // ---- active-backend property checks (run under both sanitize lanes) -------

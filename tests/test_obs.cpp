@@ -467,6 +467,27 @@ TEST(ProfilerTest, RunProfileReportsOverlapFromTimelineReport) {
   EXPECT_TRUE(JsonChecker(res.json(opt)).valid());
 }
 
+TEST(ProfilerTest, RepeatedProfileGivesByteIdenticalTrace) {
+  // Lanes are numbered and events ordered by sorted keys, not by which rank
+  // thread reached the trace buffer first, and the trace holds no host-clock
+  // figure: the document is a function of the run alone.
+  obs::ProfileOptions opt;
+  opt.steps = 2;
+  opt.world = 4;
+  opt.cfg.chunks_per_rank = 2;
+  opt.chunk_tokens = 16;
+  opt.trace_path.clear();  // no files from unit tests
+  opt.metrics_path.clear();
+  obs::run_profile(opt);
+  const std::string first = obs::Tracer::instance().chrome_trace_json();
+  obs::run_profile(opt);
+  const std::string second = obs::Tracer::instance().chrome_trace_json();
+  ASSERT_GT(first.size(), 1000u);
+  const auto diff = std::mismatch(first.begin(), first.end(), second.begin(), second.end());
+  EXPECT_TRUE(first == second) << "traces differ from byte " << (diff.first - first.begin())
+                               << ": " << std::string(diff.first, first.end()).substr(0, 120);
+}
+
 // ---- Workmeter --------------------------------------------------------------
 
 // RAII meter window mirroring TracerWindow: zeroed, enabled, and guaranteed
