@@ -294,6 +294,17 @@ void BM_MegatronSpBlockStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MegatronSpBlockStep);
 
+// Cost of one parallel_for_ranks fork-join with an empty body: the fixed
+// price every rank-parallel loop pays on top of its work, in the caller's
+// real time (publishing the job, waking helpers, the join).
+void BM_ParallelForRanksForkJoin(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    parallel_for_ranks(n, [](int i) { benchmark::DoNotOptimize(i); });
+  }
+}
+BENCHMARK(BM_ParallelForRanksForkJoin)->Arg(2)->Arg(4)->UseRealTime();
+
 void BM_PipelineSimScaling(benchmark::State& state) {
   // The simulator itself must stay cheap: a 32-chunk FPDT layer builds and
   // runs thousands of tasks.

@@ -22,8 +22,12 @@
 #     kernels measure 8.8-13.5x (forward) and 7.2-8x (backward) on a shared
 #     4-vCPU Xeon; the single-row kernels before them measured 2.7x and 3.9x.
 #
-# The measured ratios are recorded in the "kernel_smoke" section of
-# bench_snapshot.txt so perf history travels with the repo.
+#   - the parallel_for_ranks fork-join itself (bench_kernels'
+#     BM_ParallelForRanksForkJoin, empty body, n = 2 and 4) is timed and
+#     reported in microseconds; it is not gated.
+#
+# The measured ratios and fork-join times are recorded in the "kernel_smoke"
+# section of bench_snapshot.txt so perf history travels with the repo.
 #
 #   ci/kernel_smoke.sh [build_dir]   # default: build
 set -euo pipefail
@@ -134,6 +138,23 @@ print("kernel_smoke: d=16 attention simd/scalar cpu " + ", ".join(parts) +
 ' "$avx2")"
 echo "$attn_line"
 
+# --- fork-join cost of the persistent rank workers (reported only) ---------
+fork_line="$("$BENCH_KERNELS" --benchmark_filter='^BM_ParallelForRanksForkJoin/' \
+    --benchmark_format=json 2>/dev/null | python3 -c '
+import json, sys
+
+us = {}
+for b in json.load(sys.stdin)["benchmarks"]:
+    n = b["name"].split("/")[1]
+    scale = {"ns": 1e-3, "us": 1.0, "ms": 1e3}[b["time_unit"]]
+    us[n] = b["real_time"] * scale
+assert set(us) == {"2", "4"}, f"fork-join rows missing: {sorted(us)}"
+n2, n4 = us["2"], us["4"]
+print(f"kernel_smoke: parallel_for_ranks fork-join n=2 {n2:.1f} us, "
+      f"n=4 {n4:.1f} us (empty body, reported only)")
+')"
+echo "$fork_line"
+
 # --- record the measured ratio in bench_snapshot.txt ------------------------
 snapshot=bench_snapshot.txt
 marker="===== kernel_smoke ====="
@@ -152,6 +173,7 @@ fi
   echo "$marker"
   echo "$ratio_line"
   echo "$attn_line"
+  echo "$fork_line"
 } >> "$tmp"
 mv "$tmp" "$snapshot"
 echo "kernel_smoke: ratios recorded in $snapshot"

@@ -7,7 +7,10 @@
 #   - metrics.json's overlap ratio equals hidden/(h2d+d2h) from the same
 #     step stats, and exposed transfer time stays under a sanity ceiling;
 #   - a 1-step run of each baseline strategy (ulysses, megatron-sp, ring)
-#     writes two valid JSON documents.
+#     writes two valid JSON documents;
+#   - two runs of Megatron-SP + ZeRO-3 on 4 ranks, whose rank bodies and
+#     per-rank Adam run concurrently on the pool workers, write
+#     byte-identical trace.json documents.
 #
 #   ci/profile_smoke.sh [build_dir]   # default: build
 set -euo pipefail
@@ -73,3 +76,12 @@ for strategy in ulysses megatron-sp ring; do
   python3 -m json.tool "$out/metrics.json" > /dev/null
 done
 echo "profile_smoke: ulysses, megatron-sp and ring documents are valid JSON"
+
+for run in 1 2; do
+  out="$workdir/msp-zero3-$run"
+  mkdir -p "$out"
+  (cd "$out" && "$FPDT" profile --strategy megatron-sp --zero-stage 3 --gpus 4 --steps 1 \
+    > /dev/null)
+done
+cmp "$workdir/msp-zero3-1/trace.json" "$workdir/msp-zero3-2/trace.json"
+echo "profile_smoke: rank-parallel megatron-sp + zero-3 traces are byte-identical"

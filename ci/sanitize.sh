@@ -24,7 +24,7 @@ run_lane() {
   # through, and the tracer/metrics layer that all of them publish into
   # concurrently.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-    -R 'Stream|Prefetch|ThreadPool|MemoryPool|ChunkStore|Fpdt|Baseline|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
+    -R 'Stream|Prefetch|ThreadPool|MemoryPool|ChunkStore|Fpdt|Baseline|MegatronSp|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
   # Kernel-backend matrix: the math-kernel suites must hold under both the
   # scalar reference and the simd backend. The simd lane is the one that can
   # race — its GEMM/attention forks rows across the thread pool — so TSan

@@ -1,23 +1,45 @@
-// Minimal fork-join helper for the SPMD emulation.
+// Fork-join helper for the SPMD emulation.
 //
-// The functional layer runs P emulated ranks; rank-local compute (online
-// attention chunk steps, attention backward pairs) touches only per-rank
-// buffers, so those loops can fork across OS threads and join before the
-// next collective — exactly the synchronisation structure of the real
-// system (compute between NCCL rendezvous points). Weight-gradient
-// accumulation and collectives stay on the calling thread, so results are
-// bit-identical to the serial execution.
+// The functional layer runs P emulated ranks; rank-local compute touches
+// only per-rank buffers, so those loops fork across OS threads and join
+// before the next collective — exactly the synchronisation structure of the
+// real system (compute between NCCL rendezvous points).
+//
+// Workers are persistent: the first fork creates them, later forks grow the
+// set to parallel_workers() - 1 helpers, and idle helpers park on a
+// condition variable (they never spin). The caller always runs the claim
+// loop itself and waits only for helpers that joined, so a fork-join costs
+// a wake-up, not a thread spawn. A nested call (from inside a body), or a
+// call from a second thread while another caller owns the workers, runs
+// the plain serial loop on its own thread.
+//
+// Loops that run on the rank workers:
+//   - FPDT/Ulysses chunk attention forward and backward (core/fpdt_block);
+//   - Megatron-SP's four per-rank GEMM loops: forward attention, forward
+//     FFN, backward FFN, backward attention (parallel/megatron_sp);
+//   - ZeRO's per-rank Adam over each owned shard
+//     (parallel/zero/sharded_optimizer);
+//   - the simd backend's row forks, when called from the top level.
+// Megatron-SP's weight grads are rank-disjoint by construction: rank r
+// writes only its row block of Wq/Wk/Wv/fc1/fc3 (and their biases) and its
+// column block of Wo/fc2, so its bodies accumulate grads concurrently. The
+// unsharded bias grads, norm grads and every collective stay on the
+// calling thread, in rank order. FPDT's projections accumulate whole-weight
+// grads that every rank shares, so they stay on the calling thread too.
+// Results are therefore bit-identical to serial execution.
 #pragma once
 
 #include <functional>
 
 namespace fpdt {
 
-// Runs fn(0..n-1), possibly concurrently; returns after all complete.
-// Exceptions from workers are rethrown on the caller (first one wins), and
-// cancel the loop: indices not yet claimed when the first body threw are
-// never started (in-flight bodies still finish). n <= 1 or a single-core
-// machine degrades to a plain loop (which stops at the throwing index).
+// Runs fn(0..n-1), possibly concurrently; returns after all complete. Each
+// body runs as emulated rank i (RankScope), in the caller's work phase and
+// inside a parallel region. Exceptions from bodies are rethrown on the
+// caller (first one wins), and cancel the loop: indices not yet claimed
+// when the first body threw are never started (in-flight bodies still
+// finish). n <= 1, one worker, a nested call or a busy pool degrades to a
+// plain loop on the caller (which stops at the throwing index).
 void parallel_for_ranks(int n, const std::function<void(int)>& fn);
 
 // Process-wide worker count used by parallel_for_ranks (defaults to the

@@ -4,12 +4,13 @@
 // whose compiler can't emit it) it degrades to scalar semantics exactly.
 //
 // On top of the vector kernels, large row-partitionable ops fork across
-// common/thread_pool workers — but only from the top level
-// (!in_parallel_region()): the FPDT rank emulation already runs kernel
-// calls inside parallel_for_ranks bodies, and a nested fork would
-// oversubscribe the machine rather than speed it up. Ops that accumulate
-// into operands shared across rows (gemm_tn's C, backward's dk/dv) stay
-// single-threaded on the calling worker.
+// the persistent common/thread_pool workers — but only from the top level
+// (!in_parallel_region()): FPDT attention, Megatron-SP's per-rank GEMMs
+// and ZeRO's per-rank Adam already run inside parallel_for_ranks bodies,
+// one rank per worker, and a nested call would run inline anyway. Ops that
+// accumulate into operands shared across rows (gemm_tn's C, backward's
+// dk/dv) stay single-threaded on the calling worker. Row forks split rows,
+// never a row's reduction, so forked and inline results are bit-identical.
 #include <algorithm>
 #include <cmath>
 #include <memory>

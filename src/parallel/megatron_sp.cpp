@@ -1,6 +1,7 @@
 #include "parallel/megatron_sp.h"
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/rope.h"
@@ -93,8 +94,10 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
   std::vector<Tensor> xn_full = env_->pg().all_gather(xn_local);
   const std::int64_t s = xn_full[0].dim(0);
 
+  // Rank bodies below touch only rank r's slices of the shared weights, its
+  // own partial/saved slot and its own device pool (common/thread_pool.h).
   std::vector<Tensor> attn_partials(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  parallel_for_ranks(P, [&](int r) {
     runtime::Device& dev = env_->device(r);
     dev.hbm().set_phase_label("msp.attn");
     Allocation gather_charge(&dev.hbm(), xn_full[0].numel() * 2);
@@ -131,7 +134,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
       fw.attn_out = out.out;
       fw.lse = out.lse;
     }
-  }
+  });
   std::vector<Tensor> attn_local = env_->pg().reduce_scatter(attn_partials);
 
   // ---- Residual + norm2 + gathered FFN.
@@ -155,7 +158,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
   std::vector<Tensor> ffn_partials(static_cast<std::size_t>(P));
   // fc1 is the GPT up-projection / Llama gate; both are column-parallel.
   nn::Linear& fc1 = block_->ffn().fc1();
-  for (int r = 0; r < P; ++r) {
+  parallel_for_ranks(P, [&](int r) {
     runtime::Device& dev = env_->device(r);
     dev.hbm().set_phase_label("msp.ffn");
     Allocation gather_charge(&dev.hbm(), yn_full[0].numel() * 2);
@@ -182,7 +185,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
       fw.u1 = u1;
       fw.u3 = u3;
     }
-  }
+  });
   std::vector<Tensor> ffn_local = env_->pg().reduce_scatter(ffn_partials);
 
   std::vector<Tensor> z_local(static_cast<std::size_t>(P));
@@ -210,6 +213,10 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   const std::int64_t s = fw[0].xn_full.dim(0);
 
   // ---- FFN backward. Backward of reduce-scatter = all-gather of grads.
+  // The unsharded bias grads sum every rank's rows into one vector, so
+  // their loops stay on the calling thread, in rank order; each rank body
+  // then writes only its own row block (fc1/fc3, biases) or column block
+  // (fc2) of the weight grads.
   nn::Linear& fc1 = block_->ffn().fc1();
   nn::Linear& fc2 = block_->ffn().fc2();
   for (int r = 0; r < P; ++r) {
@@ -217,7 +224,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   }
   std::vector<Tensor> dz_full = env_->pg().all_gather(dz_local);
   std::vector<Tensor> dyn_partials(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  parallel_for_ranks(P, [&](int r) {
     Tensor fc2_cols = fc2.weight().value.narrow(1, r * fr, fr);
     Tensor dh = matmul(dz_full[static_cast<std::size_t>(r)], fc2_cols);  // [s, f/P]
     Tensor hmid = gpt ? nn::gelu_forward(fw[static_cast<std::size_t>(r)].u1)
@@ -247,7 +254,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
       add_colsum_(b1, du1);
     }
     dyn_partials[static_cast<std::size_t>(r)] = std::move(dyn);
-  }
+  });
   // Backward of all-gather = reduce-scatter of gradients.
   std::vector<Tensor> dyn_local = env_->pg().reduce_scatter(dyn_partials);
 
@@ -269,7 +276,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   }
   std::vector<Tensor> dy_full = env_->pg().all_gather(dy_local);
   std::vector<Tensor> dxn_partials(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  parallel_for_ranks(P, [&](int r) {
     RankFwd& f = fw[static_cast<std::size_t>(r)];
     Tensor wo_cols = attn.wo().weight().value.narrow(1, r * qr, qr);
     Tensor do_flat = matmul(dy_full[static_cast<std::size_t>(r)], wo_cols);  // [s, qr]
@@ -306,7 +313,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
       add_colsum_(bv, dv2);
     }
     dxn_partials[static_cast<std::size_t>(r)] = std::move(dxn);
-  }
+  });
   std::vector<Tensor> dxn_local = env_->pg().reduce_scatter(dxn_partials);
 
   std::vector<Tensor> dx_local(static_cast<std::size_t>(P));

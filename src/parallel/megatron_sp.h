@@ -17,7 +17,11 @@
 //
 // Weights are *views/slices of the same shared nn::TransformerBlock*, so
 // gradients accumulate into the identical tensors the reference uses and
-// equivalence is testable end to end.
+// equivalence is testable end to end. Those slices are disjoint per rank,
+// so the per-rank GEMM loops run as parallel_for_ranks bodies (one rank per
+// worker); the unsharded bias and norm grads and every collective stay on
+// the calling thread, in rank order, and results are bit-identical to
+// serial.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "tensor/tensor.h"
 
@@ -107,9 +108,10 @@ void ShardedOptimizer::sharded_step(
     std::vector<nn::Adam::Moments>& mom = ensure_shards(p);
     FPDT_CHECK_EQ(mom[0].m.numel(), s)
         << " stale shard geometry for " << p.name << " (world changed?)";
-    for (int r = 0; r < world; ++r) {
+    parallel_for_ranks(world, [&](int r) {
       // Rank r's local Adam on its owned shard — arithmetic and evaluation
-      // order identical to nn::Adam::step.
+      // order identical to nn::Adam::step. Shards are disjoint, so the
+      // rank bodies run concurrently (common/thread_pool.h).
       float* w = flat_w.data() + r * s;
       const float* g = grad_shards[static_cast<std::size_t>(r)].data();
       float* m = mom[static_cast<std::size_t>(r)].m.data();
@@ -122,7 +124,7 @@ void ShardedOptimizer::sharded_step(
         w[i] -= static_cast<float>(lr_ * (mhat / (std::sqrt(vhat) + eps_) +
                                           weight_decay_ * static_cast<double>(w[i])));
       }
-    }
+    });
 
     if (cfg_.stage < 3 && world > 1) {
       // Re-replicate the updated weights through a real all-gather: each

@@ -9,7 +9,8 @@
 //                       receives exactly its owned slice (traced, faultable);
 //   2. local Adam       rank r applies the elementwise update — the same
 //                       arithmetic as nn::Adam::step, same order — to its
-//                       fp32 moment shard and weight shard only;
+//                       fp32 moment shard and weight shard only, as one
+//                       parallel_for_ranks body (shards are disjoint);
 //   3. all-gather       stages 1/2 re-replicate the updated weights through
 //                       a real all-gather; stage 3 keeps the 1/P weight
 //                       shards and lets ZeroEngine::gather_group
