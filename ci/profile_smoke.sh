@@ -10,7 +10,10 @@
 #     writes two valid JSON documents;
 #   - two runs of Megatron-SP + ZeRO-3 on 4 ranks, whose rank bodies and
 #     per-rank Adam run concurrently on the pool workers, write
-#     byte-identical trace.json documents.
+#     byte-identical trace.json documents;
+#   - every strategy (fpdt, ulysses, megatron-sp, ring) reports the same
+#     virtual step traced and with --no-trace, and each step covers its
+#     compute, not just the optimizer span.
 #
 #   ci/profile_smoke.sh [build_dir]   # default: build
 set -euo pipefail
@@ -85,3 +88,31 @@ for run in 1 2; do
 done
 cmp "$workdir/msp-zero3-1/trace.json" "$workdir/msp-zero3-2/trace.json"
 echo "profile_smoke: rank-parallel megatron-sp + zero-3 traces are byte-identical"
+
+for strategy in fpdt ulysses megatron-sp ring; do
+  for mode in traced untraced; do
+    out="$workdir/clock-$strategy-$mode"
+    mkdir -p "$out"
+    flags=()
+    [[ "$mode" == untraced ]] && flags=(--no-trace)
+    (cd "$out" && "$FPDT" profile --strategy "$strategy" --steps 2 --gpus 2 --chunks 4 \
+      --chunk-tokens 64 "${flags[@]}" > /dev/null)
+  done
+done
+python3 - "$workdir" <<'EOF'
+import json, sys
+
+workdir = sys.argv[1]
+for strategy in ("fpdt", "ulysses", "megatron-sp", "ring"):
+    runs = {mode: json.load(open(f"{workdir}/clock-{strategy}-{mode}/metrics.json"))["step_stats"]
+            for mode in ("traced", "untraced")}
+    for traced, untraced in zip(runs["traced"], runs["untraced"]):
+        assert traced["virtual_step_s"] == untraced["virtual_step_s"], \
+            f"{strategy}: traced step {traced['virtual_step_s']}s != untraced {untraced['virtual_step_s']}s"
+        optimizer = untraced["phase_s"]["optimizer"]
+        assert untraced["virtual_step_s"] > 2 * optimizer, \
+            f"{strategy}: step {untraced['virtual_step_s']}s is little more than its optimizer span {optimizer}s"
+        for phase in ("qkv", "attention", "ffn", "embed", "loss"):
+            assert untraced["phase_s"].get(phase, 0) > 0, f"{strategy}: no {phase} time on the clock"
+print("profile_smoke: every strategy's virtual step is trace-invariant and covers its compute")
+EOF

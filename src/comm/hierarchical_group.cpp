@@ -33,9 +33,9 @@ void HierarchicalProcessGroup::reset_link_stats() {
   link_ = topo::LinkStats{};
 }
 
-void HierarchicalProcessGroup::charge_phase(topo::LinkClass cls, std::int64_t bytes, int flows,
-                                            const char* name) const {
-  if (bytes <= 0) return;
+double HierarchicalProcessGroup::charge_phase(topo::LinkClass cls, std::int64_t bytes,
+                                              int flows, const char* name) const {
+  if (bytes <= 0) return 0.0;
   const std::int64_t per_flow = bytes / world_size();
   const double busy = topo_.phase_time(cls, per_flow, flows);
   {
@@ -56,25 +56,23 @@ void HierarchicalProcessGroup::charge_phase(topo::LinkClass cls, std::int64_t by
     obs::Tracer::instance().instant(obs::kCatComm, name, obs::kNodeRank, "comm",
                                     static_cast<double>(bytes), true);
   }
+  return busy;
 }
 
-void HierarchicalProcessGroup::charge_reduction(std::int64_t delta, const char* name) const {
-  if (delta <= 0) return;
+double HierarchicalProcessGroup::charge_reduction(std::int64_t delta, const char* name) const {
+  if (delta <= 0) return 0.0;
   const int P = world_size();
   const int R = topo_.ranks_per_node();
   const int N = topo_.nodes();
-  if (N == 1) {
-    charge_phase(topo::LinkClass::kIntra, delta, R, name);
-    return;
-  }
+  if (N == 1) return charge_phase(topo::LinkClass::kIntra, delta, R, name);
   // Two-phase reduction transport: the node-local phase moves (R-1)/R of the
   // payload per rank, the cross-node phase (N-1)/(N·R); together exactly the
   // flat ring's (P-1)/P, so splitting `delta` by those ratios conserves it.
   const double intra_share =
       (static_cast<double>(P) * (R - 1)) / (static_cast<double>(R) * (P - 1));
   const auto intra = static_cast<std::int64_t>(std::llround(delta * intra_share));
-  charge_phase(topo::LinkClass::kIntra, intra, R, name);
-  charge_phase(topo::LinkClass::kInter, delta - intra, R, name);
+  return charge_phase(topo::LinkClass::kIntra, intra, R, name) +
+         charge_phase(topo::LinkClass::kInter, delta - intra, R, name);
 }
 
 std::vector<Tensor> HierarchicalProcessGroup::all_to_all_heads_to_seq(
@@ -82,13 +80,6 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_heads_to_seq(
   const int P = world_size();
   const int R = topo_.ranks_per_node();
   const int N = topo_.nodes();
-  if (N == 1) {
-    const std::int64_t before = stats().all_to_all_bytes;
-    std::vector<Tensor> out = ProcessGroup::all_to_all_heads_to_seq(local);
-    charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R,
-                 "hier.a2a.intra");
-    return out;
-  }
   guard("a2a_heads_to_seq");
   FPDT_CHECK_EQ(static_cast<int>(local.size()), P) << " all_to_all input count";
   const std::int64_t s_local = local[0].dim(0);
@@ -108,7 +99,8 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_heads_to_seq(
     std::vector<Tensor> out = inter_[static_cast<std::size_t>(jl)]->all_to_all_heads_to_seq(in);
     for (int n = 0; n < N; ++n) mid[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(n)]);
   }
-  charge_phase(topo::LinkClass::kInter, stats().all_to_all_bytes - before, R, "hier.a2a.inter");
+  double busy =
+      charge_phase(topo::LinkClass::kInter, stats().all_to_all_bytes - before, R, "hier.a2a.inter");
 
   // Phase 2 (intra): each node refines its node-level head block to per-rank
   // heads over NVLink.
@@ -121,7 +113,9 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_heads_to_seq(
     std::vector<Tensor> out = intra_[static_cast<std::size_t>(n)]->all_to_all_heads_to_seq(in);
     for (int jl = 0; jl < R; ++jl) composed[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(jl)]);
   }
-  charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R, "hier.a2a.intra");
+  busy +=
+      charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R, "hier.a2a.intra");
+  charge_cost({"a2a heads_to_seq", 0, busy});
 
   // Phase 3 (local): the composed sequence blocks land local-major (outer
   // local ordinal, inner node); the flat contract is node-major (rank
@@ -150,13 +144,6 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_seq_to_heads(
   const int P = world_size();
   const int R = topo_.ranks_per_node();
   const int N = topo_.nodes();
-  if (N == 1) {
-    const std::int64_t before = stats().all_to_all_bytes;
-    std::vector<Tensor> out = ProcessGroup::all_to_all_seq_to_heads(global);
-    charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R,
-                 "hier.a2a.intra");
-    return out;
-  }
   guard("a2a_seq_to_heads");
   FPDT_CHECK_EQ(static_cast<int>(global.size()), P) << " all_to_all input count";
   const std::int64_t s_global = global[0].dim(0);
@@ -192,7 +179,8 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_seq_to_heads(
     std::vector<Tensor> out = intra_[static_cast<std::size_t>(n)]->all_to_all_seq_to_heads(in);
     for (int jl = 0; jl < R; ++jl) mid[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(jl)]);
   }
-  charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R, "hier.a2a.intra");
+  double busy =
+      charge_phase(topo::LinkClass::kIntra, stats().all_to_all_bytes - before, R, "hier.a2a.intra");
 
   before = stats().all_to_all_bytes;
   std::vector<Tensor> result(static_cast<std::size_t>(P));
@@ -203,7 +191,9 @@ std::vector<Tensor> HierarchicalProcessGroup::all_to_all_seq_to_heads(
     std::vector<Tensor> out = inter_[static_cast<std::size_t>(jl)]->all_to_all_seq_to_heads(in);
     for (int n = 0; n < N; ++n) result[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(n)]);
   }
-  charge_phase(topo::LinkClass::kInter, stats().all_to_all_bytes - before, R, "hier.a2a.inter");
+  busy +=
+      charge_phase(topo::LinkClass::kInter, stats().all_to_all_bytes - before, R, "hier.a2a.inter");
+  charge_cost({"a2a seq_to_heads", 0, busy});
 
   std::vector<Tensor> out;
   out.reserve(static_cast<std::size_t>(P));
@@ -215,13 +205,6 @@ std::vector<Tensor> HierarchicalProcessGroup::all_gather(std::span<const Tensor>
   const int P = world_size();
   const int R = topo_.ranks_per_node();
   const int N = topo_.nodes();
-  if (N == 1) {
-    const std::int64_t before = stats().all_gather_bytes;
-    std::vector<Tensor> out = ProcessGroup::all_gather(local);
-    charge_phase(topo::LinkClass::kIntra, stats().all_gather_bytes - before, R,
-                 "hier.all_gather.intra");
-    return out;
-  }
   guard("all_gather");
   FPDT_CHECK_EQ(static_cast<int>(local.size()), P) << " all_gather input count";
 
@@ -236,8 +219,8 @@ std::vector<Tensor> HierarchicalProcessGroup::all_gather(std::span<const Tensor>
     std::vector<Tensor> out = intra_[static_cast<std::size_t>(n)]->all_gather(in);
     for (int jl = 0; jl < R; ++jl) slab[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(jl)]);
   }
-  charge_phase(topo::LinkClass::kIntra, stats().all_gather_bytes - before, R,
-               "hier.all_gather.intra");
+  double busy = charge_phase(topo::LinkClass::kIntra, stats().all_gather_bytes - before, R,
+                             "hier.all_gather.intra");
 
   // Phase 2 (inter): gather the slabs in node order. Node-major placement
   // makes the slab concat equal the flat rank-order concat, bitwise.
@@ -250,8 +233,9 @@ std::vector<Tensor> HierarchicalProcessGroup::all_gather(std::span<const Tensor>
     std::vector<Tensor> out = inter_[static_cast<std::size_t>(jl)]->all_gather(in);
     for (int n = 0; n < N; ++n) full[static_cast<std::size_t>(topo_.rank_of(n, jl))] = std::move(out[static_cast<std::size_t>(n)]);
   }
-  charge_phase(topo::LinkClass::kInter, stats().all_gather_bytes - before, R,
-               "hier.all_gather.inter");
+  busy += charge_phase(topo::LinkClass::kInter, stats().all_gather_bytes - before, R,
+                       "hier.all_gather.inter");
+  charge_cost({"all_gather", 0, busy});
   return full;
 }
 
@@ -261,7 +245,8 @@ std::vector<Tensor> HierarchicalProcessGroup::reduce_scatter(std::span<const Ten
   // result). The hierarchy re-prices the transport only.
   const std::int64_t before = stats().reduce_scatter_bytes;
   std::vector<Tensor> out = ProcessGroup::reduce_scatter(full);
-  charge_reduction(stats().reduce_scatter_bytes - before, "hier.reduce_scatter");
+  charge_cost({"reduce_scatter", 0, charge_reduction(stats().reduce_scatter_bytes - before,
+                                                     "hier.reduce_scatter")});
   return out;
 }
 
@@ -270,7 +255,8 @@ std::vector<Tensor> HierarchicalProcessGroup::all_reduce(std::span<const Tensor>
   // transport decomposition splits intra/inter in the same proportions.
   const std::int64_t before = stats().all_reduce_bytes;
   std::vector<Tensor> out = ProcessGroup::all_reduce(local);
-  charge_reduction(stats().all_reduce_bytes - before, "hier.all_reduce");
+  charge_cost({"all_reduce", 0, charge_reduction(stats().all_reduce_bytes - before,
+                                                 "hier.all_reduce")});
   return out;
 }
 
@@ -282,14 +268,17 @@ std::vector<Tensor> HierarchicalProcessGroup::ring_shift(std::span<const Tensor>
   std::vector<Tensor> out = ProcessGroup::ring_shift(local);
   const std::int64_t delta = stats().p2p_bytes - before;
   if (N == 1) {
-    charge_phase(topo::LinkClass::kIntra, delta, R > 1 ? R - 1 : 1, "hier.ring.intra");
+    charge_cost({"ring_shift", 0, charge_phase(topo::LinkClass::kIntra, delta,
+                                               R > 1 ? R - 1 : 1, "hier.ring.intra")});
     return out;
   }
   // Rank r -> r+1 stays on-node except at node boundaries: P - N NVLink
   // hops, N IB hops (one per HCA — the only uncontended inter pattern).
   const std::int64_t intra = delta * (P - N) / P;
-  charge_phase(topo::LinkClass::kIntra, intra, R > 1 ? R - 1 : 1, "hier.ring.intra");
-  charge_phase(topo::LinkClass::kInter, delta - intra, 1, "hier.ring.inter");
+  const double busy =
+      charge_phase(topo::LinkClass::kIntra, intra, R > 1 ? R - 1 : 1, "hier.ring.intra") +
+      charge_phase(topo::LinkClass::kInter, delta - intra, 1, "hier.ring.inter");
+  charge_cost({"ring_shift", 0, busy});
   return out;
 }
 

@@ -31,6 +31,8 @@
 // second per-link ledger (topo::LinkStats) attributes the same bytes to
 // intra/inter link classes, counts phases and peak concurrent flows, and
 // accumulates modeled link-busy virtual time from Topology::phase_time().
+// That busy time, summed over a collective's phases, is also what the
+// collective costs on the ranks' virtual clocks (ProcessGroup's cost sink).
 //
 // Fault semantics: the phase subgroups are built with fault draws disabled;
 // this group draws once per collective at full world scope, so the
@@ -67,15 +69,16 @@ class HierarchicalProcessGroup : public ProcessGroup {
  private:
   // Records one completed phase in the link ledger: `bytes` total logical
   // bytes over link class `cls`, priced as `flows` concurrent transfers of
-  // `bytes / world` each. Emits a node-level trace instant when tracing.
-  void charge_phase(topo::LinkClass cls, std::int64_t bytes, int flows,
-                    const char* name) const;
+  // `bytes / world` each; returns those busy seconds. Emits a node-level
+  // trace instant when tracing.
+  double charge_phase(topo::LinkClass cls, std::int64_t bytes, int flows,
+                      const char* name) const;
 
   // Splits a flat-priced reduction's byte delta into the intra/inter shares
   // a two-phase (node-local then cross-node) reduction would move. The
   // two-phase total equals the flat ring total — (P-1)/P of the payload per
-  // rank — so the split conserves bytes exactly.
-  void charge_reduction(std::int64_t delta, const char* name) const;
+  // rank — so the split conserves bytes exactly. Returns the busy seconds.
+  double charge_reduction(std::int64_t delta, const char* name) const;
 
   topo::Topology topo_;
   // unique_ptr because GroupView owns a ProcessGroup (atomics — immovable).

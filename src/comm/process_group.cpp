@@ -82,21 +82,6 @@ void paste_head_block(const Tensor& src, Tensor& dst, std::int64_t h_begin) {
   }
 }
 
-// Emits one instant per participating rank (value = logical bytes that rank
-// moved in this collective) plus a running "comm bytes" counter, so every
-// rank's trace lane shows its collective traffic. Stamped at each rank's own
-// virtual clock. Collectives run once for the whole group, hence the loop.
-void trace_collective(const char* name, int world, std::int64_t bytes_per_rank,
-                      const CommStats& stats) {
-  if (!obs::tracing_enabled()) return;
-  const std::int64_t cumulative = stats.total() / world;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  for (int r = 0; r < world; ++r) {
-    tracer.instant(obs::kCatComm, name, r, "comm", static_cast<double>(bytes_per_rank), true);
-    tracer.counter(obs::kCatComm, "comm bytes", r, static_cast<double>(cumulative));
-  }
-}
-
 // Fault-injection point at the entry of every collective. The draw happens
 // before any tensor math, and the math runs exactly once after the draws
 // pass, so a recovered collective fault is invisible to results and byte
@@ -135,6 +120,28 @@ void ProcessGroup::guard(const char* what) const {
   if (draw_faults_) survive_faults(what, world_size_);
 }
 
+// Emits one instant per participating rank (value = logical bytes that rank
+// moved in this collective) plus a running "comm bytes" counter, so every
+// rank's trace lane shows its collective traffic. Stamped at each rank's own
+// virtual clock. Collectives run once for the whole group, hence the loop.
+void ProcessGroup::report_collective(const char* name, std::int64_t bytes_per_rank) const {
+  if (topology() == nullptr) charge_cost({name, bytes_per_rank});
+  if (!obs::tracing_enabled()) return;
+  const int world = world_size_;
+  const std::int64_t cumulative = stats().total() / world;
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (int r = 0; r < world; ++r) {
+    tracer.instant(obs::kCatComm, name, r, "comm", static_cast<double>(bytes_per_rank), true);
+    tracer.counter(obs::kCatComm, "comm bytes", r, static_cast<double>(cumulative));
+  }
+}
+
+void ProcessGroup::charge_cost(const CollectiveCost& cost) const {
+  // A single rank's "collective" is a local copy; it occupies no link.
+  if (!cost_sink_ || world_size_ <= 1) return;
+  cost_sink_(cost);
+}
+
 std::vector<Tensor> ProcessGroup::all_to_all_heads_to_seq(std::span<const Tensor> local) const {
   guard("a2a_heads_to_seq");
   const int P = world_size_;
@@ -166,7 +173,7 @@ std::vector<Tensor> ProcessGroup::all_to_all_heads_to_seq(std::span<const Tensor
   // (h_local of h_global); that local copy never touches a link.
   stats_.all_to_all.fetch_add(P * s_local * (h_global - h_local) * d * 2,  // logical BF16
                               std::memory_order_relaxed);
-  trace_collective("a2a heads_to_seq", P, s_local * (h_global - h_local) * d * 2, stats());
+  report_collective("a2a heads_to_seq", s_local * (h_global - h_local) * d * 2);
   return out;
 }
 
@@ -197,7 +204,7 @@ std::vector<Tensor> ProcessGroup::all_to_all_seq_to_heads(std::span<const Tensor
   // Remote-destined bytes only, mirroring heads_to_seq.
   stats_.all_to_all.fetch_add(P * s_local * (h_global - h_local) * d * 2,
                               std::memory_order_relaxed);
-  trace_collective("a2a seq_to_heads", P, s_local * (h_global - h_local) * d * 2, stats());
+  report_collective("a2a seq_to_heads", s_local * (h_global - h_local) * d * 2);
   return out;
 }
 
@@ -211,7 +218,7 @@ std::vector<Tensor> ProcessGroup::all_gather(std::span<const Tensor> local) cons
   out.push_back(std::move(full));
   for (int r = 1; r < P; ++r) out.push_back(out[0].clone());
   stats_.all_gather.fetch_add(out[0].numel() * 2 * (P - 1), std::memory_order_relaxed);
-  trace_collective("all_gather", P, out[0].numel() * 2 * (P - 1) / P, stats());
+  report_collective("all_gather", out[0].numel() * 2 * (P - 1) / P);
   return out;
 }
 
@@ -227,7 +234,7 @@ std::vector<Tensor> ProcessGroup::reduce_scatter(std::span<const Tensor> full) c
   out.reserve(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) out.push_back(sum.slice0(r * shard, (r + 1) * shard).clone());
   stats_.reduce_scatter.fetch_add(sum.numel() * 2 * (P - 1) / P * P, std::memory_order_relaxed);
-  trace_collective("reduce_scatter", P, sum.numel() * 2 * (P - 1) / P, stats());
+  report_collective("reduce_scatter", sum.numel() * 2 * (P - 1) / P);
   return out;
 }
 
@@ -241,7 +248,7 @@ std::vector<Tensor> ProcessGroup::all_reduce(std::span<const Tensor> local) cons
   out.reserve(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) out.push_back(sum.clone());
   stats_.all_reduce.fetch_add(sum.numel() * 2 * 2 * (P - 1), std::memory_order_relaxed);
-  trace_collective("all_reduce", P, sum.numel() * 2 * 2 * (P - 1) / P, stats());
+  report_collective("all_reduce", sum.numel() * 2 * 2 * (P - 1) / P);
   return out;
 }
 
@@ -255,7 +262,7 @@ std::vector<Tensor> ProcessGroup::ring_shift(std::span<const Tensor> local) cons
     stats_.p2p.fetch_add(local[static_cast<std::size_t>(r)].numel() * 2,
                          std::memory_order_relaxed);
   }
-  trace_collective("ring_shift", P, local[0].numel() * 2, stats());
+  report_collective("ring_shift", local[0].numel() * 2);
   return out;
 }
 

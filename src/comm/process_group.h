@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +45,16 @@ struct CommStats {
            p2p_bytes;
   }
 };
+
+// One logical collective's virtual-clock cost, reported once per call to the
+// group's cost sink: a flat group's remote-only logical bytes per rank, or a
+// topology-aware group's link-busy seconds (summed over its phases).
+struct CollectiveCost {
+  const char* name = "";
+  std::int64_t bytes_per_rank = 0;
+  double link_busy_s = -1.0;  // < 0: price bytes_per_rank at the comm rate
+};
+using CostSink = std::function<void(const CollectiveCost&)>;
 
 // ---- Typed collective failure ----------------------------------------------
 // A real NCCL communicator does not limp along after a rank dies or the
@@ -109,6 +120,9 @@ class ProcessGroup {
   virtual void reset_link_stats() {}
   virtual const topo::Topology* topology() const { return nullptr; }
 
+  // Gets each logical collective's cost once; set before the first one.
+  void set_cost_sink(CostSink sink) { cost_sink_ = std::move(sink); }
+
   // Ulysses forward re-shard. Each rank holds [s_local, h_global, d] with
   // h_global divisible by P; returns per-rank [P*s_local, h_global/P, d].
   // Received pieces are concatenated along sequence in rank order, so with
@@ -150,6 +164,11 @@ class ProcessGroup {
   // skips it so the deterministic draw sequence matches the flat group's.
   void guard(const char* what) const;
 
+  // Traces one finished collective and, on a flat group, prices it; a
+  // topology-aware group prices its link time itself via charge_cost.
+  void report_collective(const char* name, std::int64_t bytes_per_rank) const;
+  void charge_cost(const CollectiveCost& cost) const;
+
   mutable AtomicStats stats_;
 
  private:
@@ -159,6 +178,7 @@ class ProcessGroup {
 
   int world_size_;
   bool draw_faults_ = true;
+  CostSink cost_sink_;
 };
 
 // ---- GroupView -------------------------------------------------------------

@@ -25,7 +25,8 @@
 //                  (write-then-read ordering across streams).
 //
 // In sync mode (cfg.stream_prefetch == false, a non-offloading store, or
-// after fault-injected transfer retries were exhausted — see degraded())
+// after fault-injected transfer retries were exhausted — degraded_, for the
+// rest of the pass)
 // every call degrades to the store's inline migration at the same program
 // point, so byte accounting — and therefore HBM peaks and transfer
 // counters — is identical by construction between the two modes; only the
@@ -62,13 +63,6 @@ class ChunkPrefetcher {
   // Drains in-flight work; during exception unwind, abandons it instead
   // (closures release their staging charges on destruction).
   ~ChunkPrefetcher();
-
-  bool use_streams() const { return use_streams_; }
-
-  // True once transient-fault retries were exhausted and the prefetcher
-  // fell back to the sync migration path (bit-identical by construction)
-  // for the rest of its lifetime — i.e. the remainder of the pass.
-  bool degraded() const { return degraded_; }
 
   // Issues an async fetch of `key` to the device. `take` removes the
   // stored chunk (host charge drops at retire); otherwise the host copy

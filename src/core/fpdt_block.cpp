@@ -34,28 +34,10 @@ std::vector<Tensor> tensors_of(const std::vector<Buffer>& buffers) {
   return out;
 }
 
-// Timing-only span on the device's compute stream (streams mode). Compute
-// runs eagerly on the calling thread either way; the span gives transfers
-// something to hide behind in the virtual timeline, and its event carries
-// the double-buffer window dependency.
-Event compute_span(bool streams, Device& dev, std::string label, double duration_s,
-                   std::vector<Event> waits = {}) {
-  if (!streams) return Event();
-  return dev.compute_stream().enqueue(std::move(label), duration_s, std::move(waits));
-}
-
-// FLOPs of one attention chunk pair (QKᵀ + PV), from the q̂ shape
-// [c_global, h_local, dh] and the number of key rows.
-double attn_pair_flops(const Tensor& q, std::int64_t k_rows) {
-  return 4.0 * static_cast<double>(q.dim(0)) * static_cast<double>(k_rows) *
-         static_cast<double>(q.dim(1)) * static_cast<double>(q.dim(2));
-}
-
-double ffn_fwd_flops(const nn::FeedForward& ffn, std::int64_t c_local, std::int64_t d) {
-  const double mats = ffn.arch() == nn::Arch::kLlama ? 3.0 : 2.0;
-  return 2.0 * static_cast<double>(c_local) * static_cast<double>(d) *
-         static_cast<double>(ffn.hidden()) * mats;
-}
+// Compute regions run through Device::compute: their spans give transfers
+// something to hide behind and carry the double-buffer window dependency. A
+// transfer that must follow a collective (priced by the group) waits on the
+// compute stream's record() after it.
 
 std::string span_name(const char* kind, std::int64_t i) {
   return std::string(kind) + "." + std::to_string(i);
@@ -134,7 +116,6 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
     prefetchers.emplace_back((*kv_stores)[static_cast<std::size_t>(r)],
                              env_->cfg().stream_prefetch);
   }
-  const bool streams = prefetchers.front().use_streams();
 
   std::vector<Tensor> z_local;
   z_local.reserve(static_cast<std::size_t>(P));
@@ -144,7 +125,6 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
     // ---- QKV projection on each rank's local chunk (Fig. 4). -------------
     std::vector<Buffer> qhat(static_cast<std::size_t>(P)), khat(static_cast<std::size_t>(P)),
         vhat(static_cast<std::size_t>(P));
-    std::int64_t qkv_numel = 0;  // per-rank q+k+v elements (symmetric)
     {
       std::vector<Buffer> q_loc(static_cast<std::size_t>(P)), k_loc(static_cast<std::size_t>(P)),
           v_loc(static_cast<std::size_t>(P));
@@ -154,15 +134,14 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
         Tensor x_i = x_local[static_cast<std::size_t>(r)].slice0(i * g.c_local,
                                                                  (i + 1) * g.c_local);
         Allocation x_charge(&dev.hbm(), x_i.numel() * kActBytes);  // fetched hidden chunk
-        NormStats st1;
-        Tensor xn = block_->norm1().forward(x_i, st1);
-        Allocation xn_charge(&dev.hbm(), xn.numel() * kActBytes);
-        nn::AttentionLayer::Qkv qkv =
-            block_->attention().project_qkv(xn, local_pos0(r, i, g.c_local));
-        qkv_numel = qkv.q.numel() + qkv.k.numel() + qkv.v.numel();
-        compute_span(streams, dev, span_name("proj", i),
-                     dev.rates().gemm_time(2.0 * static_cast<double>(g.d_model) *
-                                           static_cast<double>(qkv_numel)));
+        Allocation xn_charge;
+        nn::AttentionLayer::Qkv qkv;
+        dev.compute(span_name("proj", i), [&] {
+          NormStats st1;
+          Tensor xn = block_->norm1().forward(x_i, st1);
+          xn_charge = Allocation(&dev.hbm(), xn.numel() * kActBytes);
+          qkv = block_->attention().project_qkv(xn, local_pos0(r, i, g.c_local));
+        });
         q_loc[static_cast<std::size_t>(r)] = dev.alloc(std::move(qkv.q));
         k_loc[static_cast<std::size_t>(r)] = dev.alloc(std::move(qkv.k));
         v_loc[static_cast<std::size_t>(r)] = dev.alloc(std::move(qkv.v));
@@ -176,10 +155,6 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
       for (int r = 0; r < P; ++r) {
         Device& dev = env_->device(r);
         dev.hbm().set_phase_label("attn.all2all_recv");
-        // The collective blocks the compute queue (the runtime models no
-        // separate comm stream).
-        compute_span(streams, dev, span_name("a2a", i),
-                     dev.rates().a2a_time(qkv_numel * kActBytes, P));
         qhat[static_cast<std::size_t>(r)] = dev.alloc(std::move(qh[static_cast<std::size_t>(r)]));
         khat[static_cast<std::size_t>(r)] = dev.alloc(std::move(kh[static_cast<std::size_t>(r)]));
         vhat[static_cast<std::size_t>(r)] = dev.alloc(std::move(vh[static_cast<std::size_t>(r)]));
@@ -190,7 +165,6 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
     // Rank-local work between collectives: forked across threads (per-rank
     // buffers are disjoint; the shared host pool is thread-safe).
     std::vector<Buffer> ohat(static_cast<std::size_t>(P)), lse(static_cast<std::size_t>(P));
-    std::vector<Event> attn_done(static_cast<std::size_t>(P));
     parallel_for_ranks(P, [&](int r) {
       Device& dev = env_->device(r);
       dev.hbm().set_phase_label("attn.online");
@@ -224,11 +198,10 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
           pf.prefetch(chunk_key("khat", layer_, j + 1), /*take=*/false, window);
           pf.prefetch(chunk_key("vhat", layer_, j + 1), /*take=*/false, window);
         }
-        Event ev = compute_span(
-            streams, dev, span_name("attn", i, j),
-            dev.rates().attn_time(attn_pair_flops(q, g.c_global)), {kf.ready, vf.ready});
-        nn::online_attn_step(state, q, k_cur.tensor(), v_cur.tensor(), /*causal=*/true,
-                             i * g.c_global, j * g.c_global);
+        Event ev = dev.compute(span_name("attn", i, j), [&] {
+          nn::online_attn_step(state, q, k_cur.tensor(), v_cur.tensor(), /*causal=*/true,
+                               i * g.c_global, j * g.c_global);
+        }, {kf.ready, vf.ready});
         attn_evs.push_back(ev);
         if (!env_->cfg().double_buffer && j + 1 < i) {
           // Strict mode: the next pair is only fetched once chunk j is done.
@@ -238,15 +211,15 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
       }
       // Diagonal chunk: k̂ᵢ/v̂ᵢ are already on device from the All2All; the
       // causal mask halves its work.
-      Event diag = compute_span(streams, dev, span_name("attn", i, i),
-                                dev.rates().attn_time(0.5 * attn_pair_flops(q, g.c_global)));
-      nn::online_attn_step(state, q, khat[static_cast<std::size_t>(r)].tensor(),
-                           vhat[static_cast<std::size_t>(r)].tensor(), /*causal=*/true,
-                           i * g.c_global, i * g.c_global);
-      AttentionOutput out = nn::online_attn_finalize(state);
+      AttentionOutput out;
+      Event diag = dev.compute(span_name("attn", i, i), [&] {
+        nn::online_attn_step(state, q, khat[static_cast<std::size_t>(r)].tensor(),
+                             vhat[static_cast<std::size_t>(r)].tensor(), /*causal=*/true,
+                             i * g.c_global, i * g.c_global);
+        out = nn::online_attn_finalize(state);
+      });
       ohat[static_cast<std::size_t>(r)] = dev.alloc(std::move(out.out));
       lse[static_cast<std::size_t>(r)] = dev.alloc(std::move(out.lse));
-      attn_done[static_cast<std::size_t>(r)] = diag;
 
       // Cache k̂ᵢ/v̂ᵢ (and, for backward, q̂ᵢ + lse). "We offload q̂ᵢ, k̂ᵢ, v̂ᵢ
       // to the host memory once they are done for forward computation." The
@@ -268,35 +241,31 @@ std::vector<Tensor> FpdtBlockExecutor::run_forward(const std::vector<Tensor>& x_
     for (int r = 0; r < P; ++r) {
       Device& dev = env_->device(r);
       ChunkPrefetcher& pf = prefetchers[static_cast<std::size_t>(r)];
-      const std::int64_t o_numel = ohat[static_cast<std::size_t>(r)].tensor().numel();
-      Event a2a_back =
-          compute_span(streams, dev, span_name("a2a_back", i),
-                       dev.rates().a2a_time(o_numel * kActBytes, P),
-                       {attn_done[static_cast<std::size_t>(r)]});
+      // ô retires to the host once the All2All back has read it.
+      const Event a2a_back = dev.compute_stream().record();
       if (caching) {
         pf.put_async(chunk_key("ohat", layer_, i),
                      std::move(ohat[static_cast<std::size_t>(r)]), {a2a_back});
       } else {
         ohat[static_cast<std::size_t>(r)].release();
       }
-      dev.hbm().set_phase_label("attn.out_proj");
-      Buffer o_buf = dev.alloc(std::move(o_loc[static_cast<std::size_t>(r)]));
-      Tensor x_i =
-          x_local[static_cast<std::size_t>(r)].slice0(i * g.c_local, (i + 1) * g.c_local);
-      Buffer y_buf = dev.alloc(add(x_i, block_->attention().project_out(o_buf.tensor())));
-      o_buf.release();
+      Buffer y_buf;
+      Allocation yn_charge;
+      Tensor f;
+      const Event post = dev.compute(span_name("post", i), [&] {
+        dev.hbm().set_phase_label("attn.out_proj");
+        Buffer o_buf = dev.alloc(std::move(o_loc[static_cast<std::size_t>(r)]));
+        Tensor x_i =
+            x_local[static_cast<std::size_t>(r)].slice0(i * g.c_local, (i + 1) * g.c_local);
+        y_buf = dev.alloc(add(x_i, block_->attention().project_out(o_buf.tensor())));
+        o_buf.release();
 
-      dev.hbm().set_phase_label("ffn");
-      NormStats st2;
-      Tensor yn = block_->norm2().forward(y_buf.tensor(), st2);
-      Allocation yn_charge(&dev.hbm(), yn.numel() * kActBytes);
-      Tensor f =
-          block_->ffn().forward(yn, env_->cfg().ffn_chunk_multiplier, &dev.hbm());
-      Event post = compute_span(
-          streams, dev, span_name("post", i),
-          dev.rates().gemm_time(2.0 * static_cast<double>(g.d_model) *
-                                static_cast<double>(o_numel)) +
-              dev.rates().gemm_time(ffn_fwd_flops(block_->ffn(), g.c_local, g.d_model)));
+        dev.hbm().set_phase_label("ffn");
+        NormStats st2;
+        Tensor yn = block_->norm2().forward(y_buf.tensor(), st2);
+        yn_charge = Allocation(&dev.hbm(), yn.numel() * kActBytes);
+        f = block_->ffn().forward(yn, env_->cfg().ffn_chunk_multiplier, &dev.hbm());
+      });
       z_local[static_cast<std::size_t>(r)]
           .slice0(i * g.c_local, (i + 1) * g.c_local)
           .copy_from(add(y_buf.tensor(), f));
@@ -342,7 +311,6 @@ std::vector<Tensor> FpdtBlockExecutor::backward_phases(const std::vector<Tensor>
   for (int r = 0; r < P; ++r) {
     prefetchers.emplace_back(stores[static_cast<std::size_t>(r)], env_->cfg().stream_prefetch);
   }
-  const bool streams = prefetchers.front().use_streams();
   const bool ahead = env_->cfg().double_buffer;
 
   std::vector<Tensor> dx_local;
@@ -378,16 +346,16 @@ std::vector<Tensor> FpdtBlockExecutor::backward_phases(const std::vector<Tensor>
         pf.prefetch(chunk_key("ohat", layer_, i + 1), /*take=*/true,
                     {phase_a_done[static_cast<std::size_t>(r)]});
       }
-      compute_span(streams, dev, span_name("bwd.ffn", i),
-                   dev.rates().gemm_time(2.0 * ffn_fwd_flops(block_->ffn(), g.c_local,
-                                                             g.d_model)),
-                   {yf.ready, of.ready});
-      NormStats st2;
-      Tensor yn = block_->norm2().forward(y_buf.tensor(), st2);
-      Allocation yn_charge(&dev.hbm(), yn.numel() * kActBytes);
-      Tensor dyn =
-          block_->ffn().backward(dz_i, yn, env_->cfg().ffn_chunk_multiplier, &dev.hbm());
-      Tensor dy = add(dz_i, block_->norm2().backward(dyn, y_buf.tensor(), st2));
+      Allocation yn_charge;
+      Tensor dy;
+      dev.compute(span_name("bwd.ffn", i), [&] {
+        NormStats st2;
+        Tensor yn = block_->norm2().forward(y_buf.tensor(), st2);
+        yn_charge = Allocation(&dev.hbm(), yn.numel() * kActBytes);
+        Tensor dyn =
+            block_->ffn().backward(dz_i, yn, env_->cfg().ffn_chunk_multiplier, &dev.hbm());
+        dy = add(dz_i, block_->norm2().backward(dyn, y_buf.tensor(), st2));
+      }, {yf.ready, of.ready});
       // Residual path contribution to dx.
       Tensor dx_view =
           dx_local[static_cast<std::size_t>(r)].slice0(i * g.c_local, (i + 1) * g.c_local);
@@ -401,23 +369,18 @@ std::vector<Tensor> FpdtBlockExecutor::backward_phases(const std::vector<Tensor>
     for (int r = 0; r < P; ++r) {
       Device& dev = env_->device(r);
       dev.hbm().set_phase_label("bwd.out_proj");
-      const std::int64_t o_numel = ohat_i[static_cast<std::size_t>(r)].tensor().numel();
-      compute_span(streams, dev, span_name("bwd.a2a", i),
-                   dev.rates().a2a_time(o_numel * kActBytes, P));
-      compute_span(streams, dev, span_name("bwd.out_proj", i),
-                   dev.rates().gemm_time(4.0 * static_cast<double>(g.d_model) *
-                                         static_cast<double>(o_numel)));
-      dao[static_cast<std::size_t>(r)] = dev.alloc(block_->attention().backward_out(
-          dy_tot[static_cast<std::size_t>(r)].tensor(), o_loc[static_cast<std::size_t>(r)]));
+      dev.compute(span_name("bwd.out_proj", i), [&] {
+        dao[static_cast<std::size_t>(r)] = dev.alloc(block_->attention().backward_out(
+            dy_tot[static_cast<std::size_t>(r)].tensor(), o_loc[static_cast<std::size_t>(r)]));
+      });
       dy_tot[static_cast<std::size_t>(r)].release();
     }
     std::vector<Tensor> dohat = env_->pg().all_to_all_heads_to_seq(tensors_of(dao));
     for (int r = 0; r < P; ++r) {
       Device& dev = env_->device(r);
       ChunkPrefetcher& pf = prefetchers[static_cast<std::size_t>(r)];
-      const std::int64_t o_numel = ohat_i[static_cast<std::size_t>(r)].tensor().numel();
-      Event back = compute_span(streams, dev, span_name("bwd.a2a_back", i),
-                                dev.rates().a2a_time(o_numel * kActBytes, P));
+      // dô and D retire to the host once the All2All has delivered dô.
+      const Event back = dev.compute_stream().record();
       Tensor D = nn::online_attn_backward_D(ohat_i[static_cast<std::size_t>(r)].tensor(),
                                             dohat[static_cast<std::size_t>(r)]);
       ohat_i[static_cast<std::size_t>(r)].release();
@@ -484,17 +447,14 @@ std::vector<Tensor> FpdtBlockExecutor::backward_phases(const std::vector<Tensor>
           waits.push_back(kv_ready[static_cast<std::size_t>(r)][0]);
           waits.push_back(kv_ready[static_cast<std::size_t>(r)][1]);
         }
-        // ~2.5× the forward pair FLOPs (dQ, dK, dV plus the recomputed P).
-        Event ev = compute_span(
-            streams, dev, span_name("bwd.attn", i, j),
-            dev.rates().attn_time(2.5 * attn_pair_flops(q_i.tensor(), g.c_global)),
-            std::move(waits));
-        nn::online_attn_backward_step(
-            q_i.tensor(), k_j[static_cast<std::size_t>(r)].tensor(),
-            v_j[static_cast<std::size_t>(r)].tensor(), do_i.tensor(), lse_i.tensor(),
-            D_i.tensor(), /*causal=*/true, i * g.c_global, j * g.c_global, dq_i.tensor(),
-            dk_j[static_cast<std::size_t>(r)].tensor(),
-            dv_j[static_cast<std::size_t>(r)].tensor());
+        Event ev = dev.compute(span_name("bwd.attn", i, j), [&] {
+          nn::online_attn_backward_step(
+              q_i.tensor(), k_j[static_cast<std::size_t>(r)].tensor(),
+              v_j[static_cast<std::size_t>(r)].tensor(), do_i.tensor(), lse_i.tensor(),
+              D_i.tensor(), /*causal=*/true, i * g.c_global, j * g.c_global, dq_i.tensor(),
+              dk_j[static_cast<std::size_t>(r)].tensor(),
+              dv_j[static_cast<std::size_t>(r)].tensor());
+        }, std::move(waits));
         if (i == j) {
           // "For dq0, we get its final result after the first inner loop."
           dq_final[static_cast<std::size_t>(r)] = std::move(dq_i);
@@ -512,30 +472,23 @@ std::vector<Tensor> FpdtBlockExecutor::backward_phases(const std::vector<Tensor>
     for (int r = 0; r < P; ++r) {
       Device& dev = env_->device(r);
       dev.hbm().set_phase_label("bwd.qkv_proj");
-      const std::int64_t dqkv_numel =
-          dq_final[static_cast<std::size_t>(r)].tensor().numel() +
-          dk_j[static_cast<std::size_t>(r)].tensor().numel() +
-          dv_j[static_cast<std::size_t>(r)].tensor().numel();
-      compute_span(streams, dev, span_name("bwd.a2a_qkv", j),
-                   dev.rates().a2a_time(dqkv_numel * kActBytes, P));
-      compute_span(streams, dev, span_name("bwd.qkv_proj", j),
-                   dev.rates().gemm_time(4.0 * static_cast<double>(g.d_model) *
-                                         static_cast<double>(dqkv_numel)));
       dq_final[static_cast<std::size_t>(r)].release();
       dk_j[static_cast<std::size_t>(r)].release();
       dv_j[static_cast<std::size_t>(r)].release();
       k_j[static_cast<std::size_t>(r)].release();
       v_j[static_cast<std::size_t>(r)].release();
-      Tensor x_j =
-          x_local[static_cast<std::size_t>(r)].slice0(j * g.c_local, (j + 1) * g.c_local);
-      NormStats st1;
-      Tensor xn = block_->norm1().forward(x_j, st1);
-      Tensor dxn = block_->attention().backward_qkv(
-          dq_loc[static_cast<std::size_t>(r)], dk_loc[static_cast<std::size_t>(r)],
-          dv_loc[static_cast<std::size_t>(r)], xn, local_pos0(r, j, g.c_local));
-      Tensor dx_view =
-          dx_local[static_cast<std::size_t>(r)].slice0(j * g.c_local, (j + 1) * g.c_local);
-      add_(dx_view, block_->norm1().backward(dxn, x_j, st1));
+      dev.compute(span_name("bwd.qkv_proj", j), [&] {
+        Tensor x_j =
+            x_local[static_cast<std::size_t>(r)].slice0(j * g.c_local, (j + 1) * g.c_local);
+        NormStats st1;
+        Tensor xn = block_->norm1().forward(x_j, st1);
+        Tensor dxn = block_->attention().backward_qkv(
+            dq_loc[static_cast<std::size_t>(r)], dk_loc[static_cast<std::size_t>(r)],
+            dv_loc[static_cast<std::size_t>(r)], xn, local_pos0(r, j, g.c_local));
+        Tensor dx_view =
+            dx_local[static_cast<std::size_t>(r)].slice0(j * g.c_local, (j + 1) * g.c_local);
+        add_(dx_view, block_->norm1().backward(dxn, x_j, st1));
+      });
     }
   }
   return dx_local;

@@ -20,14 +20,9 @@ struct FpdtConfig {
   // the functional layer; the latency effect lives in the simulator.
   bool double_buffer = true;
 
-  // Route chunk migrations through the per-device emulated streams
-  // (runtime/stream.h): prefetches issue on the H2D queue before the chunk
-  // computes and offloads retire on the D2H queue, making the paper's
-  // compute/transfer overlap (§3.3, Fig. 8) observable in the executed
-  // system. Accounting is byte-exact vs. the inline path (in-flight bytes
-  // sit in the pools' staging counters) and results are bit-identical;
-  // only the transfer-timeline report changes. Only meaningful with
-  // offload (a resident store migrates nothing).
+  // With offload, ChunkPrefetcher migrates chunks on the H2D/D2H streams
+  // (overlapping compute, §3.3 / Fig. 8) instead of inline: byte-exact
+  // accounting and bit-identical results; only the timeline changes.
   bool stream_prefetch = true;
 
   // FFN chunk multiplier relative to attention chunks (§5.4 finds 2x

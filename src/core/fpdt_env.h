@@ -10,6 +10,7 @@
 #include "comm/hierarchical_group.h"
 #include "comm/process_group.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/fpdt_config.h"
 #include "fault/fault_injector.h"
 #include "kernels/backend.h"
@@ -51,6 +52,17 @@ class FpdtEnv {
         this, [this](int rank, const std::string& label, double seconds) {
           charge_backoff(rank, label, seconds);
         });
+    // Price every collective once, where the group reports it: it blocks
+    // every rank's compute stream (the runtime has no comm queue) for the
+    // group's link-busy time, else for its bytes at the comm rate.
+    pg_->set_cost_sink([this](const comm::CollectiveCost& c) {
+      for (const auto& d : devices_) {
+        const runtime::StreamRates& rt = d->rates();
+        const double by_bytes =
+            static_cast<double>(c.bytes_per_rank) / rt.comm_bytes_per_s + rt.comm_latency_s;
+        d->compute_stream().enqueue(c.name, c.link_busy_s >= 0.0 ? c.link_busy_s : by_bytes);
+      }
+    });
   }
 
   ~FpdtEnv() { fault::FaultInjector::instance().clear_backoff_sink(this); }
@@ -77,7 +89,7 @@ class FpdtEnv {
     for (const auto& d : devices_) d->hbm().reset_peak();
   }
 
-  // ---- Stream timeline helpers (cfg.stream_prefetch) ----
+  // ---- Stream timeline helpers ----
 
   void set_stream_rates(const runtime::StreamRates& rates) {
     for (const auto& d : devices_) d->set_rates(rates);
@@ -95,6 +107,17 @@ class FpdtEnv {
 
   void synchronize_streams() {
     for (const auto& d : devices_) d->synchronize_streams();
+  }
+
+  // fn(r) as rank r's compute region `label` (runtime::Device::compute),
+  // rank by rank — or forked across the rank workers.
+  template <typename Fn>
+  void compute_ranks(const std::string& label, Fn&& fn) {
+    for (int r = 0; r < world(); ++r) device(r).compute(label, [&] { fn(r); });
+  }
+  template <typename Fn>
+  void parallel_compute(const std::string& label, Fn&& fn) {
+    parallel_for_ranks(world(), [&](int r) { device(r).compute(label, [&] { fn(r); }); });
   }
 
   // Charges a retry backoff as a timing-only span on the stream the retried

@@ -5,21 +5,6 @@
 
 namespace fpdt::core {
 
-namespace {
-
-// Models a non-block phase (embedding, loss head) as a span on the rank's
-// compute stream so traces and timeline reports cover the whole step, not
-// just the transformer blocks. Gated on tracing: without a tracer the span
-// ledger stays exactly as the seed produced it (timeline-shape tests).
-void trace_phase_span(FpdtEnv& env, int rank, const char* label, double flops) {
-  if (!obs::tracing_enabled() || !env.cfg().stream_prefetch) return;
-  runtime::Device& dev = env.device(rank);
-  dev.compute_stream().enqueue(label, dev.rates().gemm_time(flops));
-  dev.compute_stream().synchronize();
-}
-
-}  // namespace
-
 FpdtTrainer::FpdtTrainer(nn::Model& model, int world, FpdtConfig cfg,
                          std::int64_t hbm_capacity_bytes, BlockExecutorFactory make_executor)
     : model_(&model),
@@ -76,10 +61,9 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
   {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "embed");
     zero::GroupScope zs(zero_.get(), "embed", walk_embed(), /*grad_bucket=*/false);
-    for (int r = 0; r < P; ++r) {
+    env_.compute_ranks("embed", [&](int r) {
       h.push_back(model_->embedding().forward(shards[static_cast<std::size_t>(r)].inputs));
-      trace_phase_span(env_, r, "embed", 2.0 * static_cast<double>(h.back().numel()));
-    }
+    });
   }
 
   // ---- Blocks with activation checkpointing: keep each block's per-rank
@@ -110,8 +94,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
     // forward_backward computes head/norm grads here, so the ZeRO-2/3 grad
     // bucket is live for this window.
     zero::GroupScope zs(zero_.get(), "head", walk_head(), /*grad_bucket=*/true);
-    const double vocab = static_cast<double>(model_->embedding().vocab());
-    for (int r = 0; r < P; ++r) {
+    env_.compute_ranks("loss", [&](int r) {
       nn::NormStats st;
       Tensor hn = model_->final_norm().forward(h[static_cast<std::size_t>(r)], st);
       nn::LossResult res = model_->lm_head().forward_backward(
@@ -120,10 +103,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
       loss_sum += res.loss_sum;
       dh[static_cast<std::size_t>(r)] =
           model_->final_norm().backward(res.dx, h[static_cast<std::size_t>(r)], st);
-      // 2sdv forward projection + 4sdv backward (dW and dx); numel = s*d.
-      trace_phase_span(env_, r, "loss",
-                       6.0 * vocab * static_cast<double>(hn.numel()));
-    }
+    });
   }
 
   // ---- Backward through blocks in reverse.
@@ -140,13 +120,14 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
   {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "embed.backward");
     zero::GroupScope zs(zero_.get(), "embed", walk_embed(), /*grad_bucket=*/true);
-    for (int r = 0; r < P; ++r) {
+    env_.compute_ranks("bwd.embed", [&](int r) {
       model_->embedding().backward(dh[static_cast<std::size_t>(r)],
                                    shards[static_cast<std::size_t>(r)].inputs);
-      trace_phase_span(env_, r, "bwd.embed",
-                       2.0 * static_cast<double>(dh[static_cast<std::size_t>(r)].numel()));
-    }
+    });
   }
+  // Retire the step's compute spans: side-effect free (every transfer has
+  // retired), and no transfer drains them for strategies that offload none.
+  for (int r = 0; r < P; ++r) env_.device(r).compute_stream().synchronize();
   return loss_sum / static_cast<double>(s_global);
 }
 

@@ -433,10 +433,7 @@ ElasticResult run_elastic(const ElasticOptions& opt) {
 
   ResilientOptions ro;
   ro.world = opt.world;
-  ro.cfg.chunks_per_rank = opt.chunks;
-  ro.cfg.zero_stage = opt.zero_stage;
-  ro.cfg.ranks_per_node = opt.ranks_per_node;
-  ro.cfg.head_degree = opt.head_degree;
+  ro.cfg = opt.cfg;
   ro.chunk_tokens = opt.chunk_tokens;
   ro.hbm_capacity_bytes = opt.hbm_capacity_bytes;
   ro.model_seed = opt.seed;
@@ -476,7 +473,7 @@ ElasticResult run_elastic(const ElasticOptions& opt) {
       tw.world = result.reshard_world;
       tw.cfg.chunks_per_rank = result.reshard_chunks;
       const std::int64_t s_global =
-          static_cast<std::int64_t>(opt.world) * opt.chunks * opt.chunk_tokens;
+          static_cast<std::int64_t>(opt.world) * opt.cfg.chunks_per_rank * opt.chunk_tokens;
       tw.chunk_tokens = s_global / (result.reshard_world * result.reshard_chunks);
       tw.elastic = false;
       tw.rejoin_at.clear();

@@ -150,16 +150,17 @@ struct ElasticOptions {
   std::string scenario;
   int steps = 6;
   int world = 4;
-  std::int64_t chunks = 2;
   std::int64_t chunk_tokens = 32;
   std::uint64_t seed = 1234;
   std::int64_t hbm_capacity_bytes = -1;
-  int zero_stage = 3;
-  // Physical grid of the elastic fleet (0 = the seed's flat fabric). With a
-  // grid, rank loss re-plans ranks-per-node and head-degree alongside the
-  // world (see WorldPlan) and the run uses hierarchical collectives.
-  int ranks_per_node = 0;
-  int head_degree = 0;
+  // 2 chunks per rank under ZeRO-3 by default. With a grid (ranks_per_node,
+  // head_degree), rank loss re-plans it alongside the world (WorldPlan).
+  core::FpdtConfig cfg = [] {
+    core::FpdtConfig c;
+    c.chunks_per_rank = 2;
+    c.zero_stage = 3;
+    return c;
+  }();
   // 8 heads so the world can shrink across {8, 4, 2, 1}.
   nn::ModelConfig model = nn::tiny_gpt(64, 2, 8, 96);
   std::string checkpoint_path = "fpdt_elastic.ckpt";

@@ -263,8 +263,7 @@ ChaosResult run_chaos(const ChaosOptions& opt) {
                       bool* math_degraded, bool* restored, bool* resharded) {
     ResilientOptions ro;
     ro.world = opt.world;
-    ro.cfg.chunks_per_rank = opt.chunks;
-    ro.cfg.zero_stage = opt.zero_stage;
+    ro.cfg = opt.cfg;
     ro.chunk_tokens = opt.chunk_tokens;
     ro.hbm_capacity_bytes = opt.hbm_capacity_bytes;
     ro.model_seed = opt.seed;

@@ -144,12 +144,11 @@ struct ChaosOptions {
   std::string spec;  // fault spec; empty = injector left as-is (disabled)
   int steps = 4;
   int world = 2;
-  std::int64_t chunks = 4;
   std::int64_t chunk_tokens = 64;
   std::uint64_t seed = 1234;
   std::int64_t hbm_capacity_bytes = -1;
-  // -1 = seed behavior; 0-3 runs the chaos pair under that ZeRO stage.
-  int zero_stage = -1;
+  // Trainer config of both runs (chunks, ZeRO stage, ...).
+  core::FpdtConfig cfg;
   std::string checkpoint_path = "fpdt_chaos.ckpt";
   bool verify_against_clean = true;
   bool keep_checkpoint = false;

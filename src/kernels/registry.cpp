@@ -17,14 +17,15 @@ std::unique_ptr<Backend> make_simd_backend();    // simd_backend.cpp
 namespace {
 
 // Work-accounting decorator wrapped around every registered backend: each
-// dispatch charges its analytic shape cost (kernels/op_cost.h) to
+// dispatch charges its analytic shape cost (kernels/op_cost.h) to the
+// thread's obs::WorkSink (pricing the rank's virtual clock) and to
 // obs::Workmeter, then forwards to the real backend. Because the charge is
 // computed from shapes — and both built-in backends are wrapped by the same
 // decorator at registration — scalar and simd report bit-identical work for
 // the same call sequence by construction (SimdBackend's scalar fallback is
 // a private instance, not a registry round-trip, so nothing double-counts).
-// With metering off each op pays one relaxed atomic load and a
-// predicted-not-taken branch, nothing else.
+// Unobserved, each op pays a thread-local load, one relaxed atomic load and
+// a predicted-not-taken branch, nothing else.
 class MeteredBackend final : public Backend {
  public:
   explicit MeteredBackend(std::unique_ptr<Backend> inner) : inner_(std::move(inner)) {}
@@ -126,11 +127,16 @@ class MeteredBackend final : public Backend {
   }
 
  private:
-  // The cost callable is only evaluated when metering is on, so a disabled
-  // meter never runs the (O(sq) for attention) shape arithmetic.
+  // The cost callable is only evaluated when someone listens, so an
+  // unobserved call never runs the (O(sq) for attention) shape arithmetic.
   template <typename CostFn>
   static void charge(obs::OpKind kind, CostFn&& cost) {
-    if (obs::work_metering_enabled()) obs::Workmeter::instance().charge(kind, cost());
+    obs::WorkSink* sink = obs::t_work_sink;
+    const bool metered = obs::work_metering_enabled();
+    if (sink == nullptr && !metered) return;
+    const obs::OpWork work = cost();
+    if (sink != nullptr) sink->kind[static_cast<int>(kind)] += work;
+    if (metered) obs::Workmeter::instance().charge(kind, work);
   }
 
   std::unique_ptr<Backend> inner_;

@@ -47,6 +47,10 @@ std::string phase_of(const std::string& label) {
   const std::string base = starts_with(label, "bwd.") ? label.substr(4) : label;
   if (starts_with(base, "proj") || starts_with(base, "qkv")) return "qkv";
   if (starts_with(base, "a2a")) return "all2all";
+  if (starts_with(base, "all_gather") || starts_with(base, "reduce_scatter") ||
+      starts_with(base, "all_reduce") || starts_with(base, "ring_shift")) {
+    return "comm";
+  }
   if (starts_with(base, "attn")) return "attention";
   if (starts_with(base, "post") || starts_with(base, "ffn") || starts_with(base, "out_proj")) {
     return "ffn";
@@ -123,22 +127,22 @@ void StepProfiler::begin_step() {
 }
 
 StepStats StepProfiler::end_step(int step, std::int64_t tokens, double loss) {
-  last_report_ = env_->timeline_report(0);  // synchronizes all of rank 0
+  const runtime::TimelineReport report = env_->timeline_report(0);  // syncs rank 0
   env_->synchronize_streams();              // ...and every other rank
 
   StepStats st;
   st.step = step;
   st.tokens = tokens;
   st.loss = loss;
-  st.virtual_step_s = last_report_.makespan_s;
+  st.virtual_step_s = report.makespan_s;
   st.tokens_per_s =
       st.virtual_step_s > 0.0 ? static_cast<double>(tokens) / st.virtual_step_s : 0.0;
-  st.compute_busy_s = last_report_.compute_busy_s;
-  st.h2d_busy_s = last_report_.h2d_busy_s;
-  st.d2h_busy_s = last_report_.d2h_busy_s;
-  st.hidden_transfer_s = last_report_.hidden_transfer_s;
-  st.exposed_transfer_s = last_report_.exposed_transfer_s;
-  st.overlap_ratio = last_report_.overlap_ratio();
+  st.compute_busy_s = report.compute_busy_s;
+  st.h2d_busy_s = report.h2d_busy_s;
+  st.d2h_busy_s = report.d2h_busy_s;
+  st.hidden_transfer_s = report.hidden_transfer_s;
+  st.exposed_transfer_s = report.exposed_transfer_s;
+  st.overlap_ratio = report.overlap_ratio();
   st.h2d_bytes = env_->device(0).transfers().h2d_bytes - h2d_base_;
   st.d2h_bytes = env_->device(0).transfers().d2h_bytes - d2h_base_;
   st.all2all_bytes = env_->pg().stats().all_to_all_bytes - a2a_base_;
@@ -250,9 +254,7 @@ std::string ProfileResult::json(const ProfileOptions& opt) const {
 }
 
 core::FpdtConfig profile_config(const ProfileOptions& opt) {
-  core::FpdtConfig cfg = opt.cfg;
-  cfg.stream_prefetch = cfg.offload;
-  return parallel::strategy_config(parallel::parse_strategy(opt.strategy), cfg);
+  return parallel::strategy_config(parallel::parse_strategy(opt.strategy), opt.cfg);
 }
 
 ProfileResult run_profile(const ProfileOptions& opt) {

@@ -24,11 +24,13 @@
 
 namespace fpdt::obs {
 
-// Coarse phase for a compute-stream span label (core/fpdt_block.cpp's
-// vocabulary): "proj.3" / "bwd.qkv_proj.1" -> "qkv", "a2a_back.2" ->
-// "all2all", "attn.1.0" -> "attention", "post.0" / "bwd.ffn.2" -> "ffn",
-// "fetch.k3" -> "fetch", "offload.v1" -> "offload", plus the trainer-level
-// "embed" / "loss" / "optimizer" spans. Unknown labels -> "other".
+// Coarse phase for a compute-stream span label (the executors' compute
+// regions and the process group's collectives): "proj.3" /
+// "bwd.qkv_proj.1" -> "qkv", "a2a heads_to_seq" -> "all2all",
+// "all_gather" / "reduce_scatter" / "all_reduce" / "ring_shift" -> "comm",
+// "attn.1.0" -> "attention", "post.0" / "bwd.ffn.2" -> "ffn", "fetch.k3" ->
+// "fetch", "offload.v1" -> "offload", plus the trainer-level "embed" /
+// "loss" / "optimizer" spans. Unknown labels -> "other".
 std::string phase_of(const std::string& label);
 
 // One training step's worth of measurements, all on the virtual clock.
@@ -108,8 +110,6 @@ class StepProfiler {
   void begin_step();
   StepStats end_step(int step, std::int64_t tokens, double loss);
 
-  const runtime::TimelineReport& last_report() const { return last_report_; }
-
  private:
   core::FpdtEnv* env_;
   sim::HardwareSpec hw_;
@@ -118,7 +118,6 @@ class StepProfiler {
   std::int64_t a2a_base_ = 0;
   topo::LinkStats link_base_;
   WorkSnapshot work_base_;
-  runtime::TimelineReport last_report_;
 };
 
 // ---- fpdt profile ----------------------------------------------------------
@@ -151,9 +150,8 @@ struct ProfileOptions {
   sim::HardwareSpec hw = sim::a100_80g_node();
 };
 
-// The config run_profile trains `opt` under: opt.cfg with stream prefetch
-// following offload (a resident store migrates nothing), then the
-// strategy's preset. Throws FpdtError on an unknown strategy.
+// The config run_profile trains `opt` under: opt.cfg with the strategy's
+// preset applied. Throws FpdtError on an unknown strategy.
 core::FpdtConfig profile_config(const ProfileOptions& opt);
 
 struct ProfileResult {

@@ -61,6 +61,16 @@ struct OpWork {
   }
 };
 
+// Per-op-kind work of the kernel calls a thread dispatches while this sink
+// is installed in t_work_sink — charged whether or not the Workmeter is on.
+// runtime::Device::compute installs one around a compute region and prices
+// the region's virtual-clock span from it, so the clock and the Workmeter
+// read one set of formulas (kernels/op_cost.h).
+struct WorkSink {
+  OpWork kind[kOpKinds] = {};
+};
+inline constinit thread_local WorkSink* t_work_sink = nullptr;
+
 // Global enable flag, mirroring obs::g_trace_enabled: kept outside the
 // Workmeter so the disabled check is one relaxed atomic load.
 extern std::atomic<bool> g_work_meter_enabled;

@@ -86,11 +86,11 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
   // footprint TP cannot reduce (§5.5: the GEMM "generates an intermediate
   // buffer [N, B, C̃] regardless of C").
   std::vector<Tensor> xn_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("proj.norm1", [&](int r) {
     NormStats st;
     xn_local[static_cast<std::size_t>(r)] =
         block_->norm1().forward(x_local[static_cast<std::size_t>(r)], st);
-  }
+  });
   std::vector<Tensor> xn_full = env_->pg().all_gather(xn_local);
   const std::int64_t s = xn_full[0].dim(0);
 
@@ -102,29 +102,37 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
     dev.hbm().set_phase_label("msp.attn");
     Allocation gather_charge(&dev.hbm(), xn_full[0].numel() * 2);
     // Column-parallel QKV: this rank's rows of Wq/Wk/Wv are its heads.
-    Tensor q = matmul_nt(xn_full[static_cast<std::size_t>(r)],
-                         attn.wq().weight().value.slice0(r * qr, (r + 1) * qr));
-    Tensor k = matmul_nt(xn_full[static_cast<std::size_t>(r)],
-                         attn.wk().weight().value.slice0(r * kvr, (r + 1) * kvr));
-    Tensor v = matmul_nt(xn_full[static_cast<std::size_t>(r)],
-                         attn.wv().weight().value.slice0(r * kvr, (r + 1) * kvr));
-    if (attn.wq().has_bias()) {
-      add_bias_(q, attn.wq().bias().value.slice0(r * qr, (r + 1) * qr));
-      add_bias_(k, attn.wk().bias().value.slice0(r * kvr, (r + 1) * kvr));
-      add_bias_(v, attn.wv().bias().value.slice0(r * kvr, (r + 1) * kvr));
-    }
+    Tensor q, k, v;
+    dev.compute("proj", [&] {
+      q = matmul_nt(xn_full[static_cast<std::size_t>(r)],
+                    attn.wq().weight().value.slice0(r * qr, (r + 1) * qr));
+      k = matmul_nt(xn_full[static_cast<std::size_t>(r)],
+                    attn.wk().weight().value.slice0(r * kvr, (r + 1) * kvr));
+      v = matmul_nt(xn_full[static_cast<std::size_t>(r)],
+                    attn.wv().weight().value.slice0(r * kvr, (r + 1) * kvr));
+      if (attn.wq().has_bias()) {
+        add_bias_(q, attn.wq().bias().value.slice0(r * qr, (r + 1) * qr));
+        add_bias_(k, attn.wk().bias().value.slice0(r * kvr, (r + 1) * kvr));
+        add_bias_(v, attn.wv().bias().value.slice0(r * kvr, (r + 1) * kvr));
+      }
+    });
     Allocation qkv_charge(&dev.hbm(), (q.numel() + k.numel() + v.numel()) * 2);
     q = q.reshape({s, h_local, dh});
     k = k.reshape({s, kv_local, dh});
     v = v.reshape({s, kv_local, dh});
-    nn::rope_apply_(q, 0, attn.rope_base());
-    nn::rope_apply_(k, 0, attn.rope_base());
-    AttentionOutput out = nn::reference_attention_forward(q, k, v, /*causal=*/true);
+    AttentionOutput out;
+    dev.compute("attn", [&] {
+      nn::rope_apply_(q, 0, attn.rope_base());
+      nn::rope_apply_(k, 0, attn.rope_base());
+      out = nn::reference_attention_forward(q, k, v, /*causal=*/true);
+    });
     // Row-parallel Wo: local heads hit their column block; partial sums are
     // reduce-scattered back to sequence shards.
-    Tensor wo_cols = attn.wo().weight().value.narrow(1, r * qr, qr);
-    attn_partials[static_cast<std::size_t>(r)] =
-        matmul_nt(out.out.reshape({s, qr}), wo_cols);
+    dev.compute("out_proj", [&] {
+      Tensor wo_cols = attn.wo().weight().value.narrow(1, r * qr, qr);
+      attn_partials[static_cast<std::size_t>(r)] =
+          matmul_nt(out.out.reshape({s, qr}), wo_cols);
+    });
     if (saved != nullptr) {
       RankFwd& fw = (*saved)[static_cast<std::size_t>(r)];
       fw.xn_full = xn_full[static_cast<std::size_t>(r)];
@@ -146,9 +154,11 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
     }
     y_local[static_cast<std::size_t>(r)] =
         add(x_local[static_cast<std::size_t>(r)], attn_local[static_cast<std::size_t>(r)]);
-    NormStats st;
-    yn_local[static_cast<std::size_t>(r)] =
-        block_->norm2().forward(y_local[static_cast<std::size_t>(r)], st);
+    env_->device(r).compute("ffn.norm2", [&] {
+      NormStats st;
+      yn_local[static_cast<std::size_t>(r)] =
+          block_->norm2().forward(y_local[static_cast<std::size_t>(r)], st);
+    });
     if (saved != nullptr) {
       (*saved)[static_cast<std::size_t>(r)].y_local = y_local[static_cast<std::size_t>(r)];
     }
@@ -158,7 +168,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::run_forward(const std::vector<Tenso
   std::vector<Tensor> ffn_partials(static_cast<std::size_t>(P));
   // fc1 is the GPT up-projection / Llama gate; both are column-parallel.
   nn::Linear& fc1 = block_->ffn().fc1();
-  parallel_for_ranks(P, [&](int r) {
+  env_->parallel_compute("ffn", [&](int r) {
     runtime::Device& dev = env_->device(r);
     dev.hbm().set_phase_label("msp.ffn");
     Allocation gather_charge(&dev.hbm(), yn_full[0].numel() * 2);
@@ -224,7 +234,7 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   }
   std::vector<Tensor> dz_full = env_->pg().all_gather(dz_local);
   std::vector<Tensor> dyn_partials(static_cast<std::size_t>(P));
-  parallel_for_ranks(P, [&](int r) {
+  env_->parallel_compute("bwd.ffn", [&](int r) {
     Tensor fc2_cols = fc2.weight().value.narrow(1, r * fr, fr);
     Tensor dh = matmul(dz_full[static_cast<std::size_t>(r)], fc2_cols);  // [s, f/P]
     Tensor hmid = gpt ? nn::gelu_forward(fw[static_cast<std::size_t>(r)].u1)
@@ -259,14 +269,14 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   std::vector<Tensor> dyn_local = env_->pg().reduce_scatter(dyn_partials);
 
   std::vector<Tensor> dy_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("bwd.ffn.norm2", [&](int r) {
     NormStats st2;
     block_->norm2().forward(fw[static_cast<std::size_t>(r)].y_local, st2);
     dy_local[static_cast<std::size_t>(r)] =
         add(dz_local[static_cast<std::size_t>(r)],
             block_->norm2().backward(dyn_local[static_cast<std::size_t>(r)],
                                      fw[static_cast<std::size_t>(r)].y_local, st2));
-  }
+  });
 
   // ---- Attention backward.
   for (int r = 0; r < P; ++r) {
@@ -277,54 +287,62 @@ std::vector<Tensor> MegatronSpBlockExecutor::backward(const std::vector<Tensor>&
   std::vector<Tensor> dy_full = env_->pg().all_gather(dy_local);
   std::vector<Tensor> dxn_partials(static_cast<std::size_t>(P));
   parallel_for_ranks(P, [&](int r) {
+    runtime::Device& dev = env_->device(r);
     RankFwd& f = fw[static_cast<std::size_t>(r)];
-    Tensor wo_cols = attn.wo().weight().value.narrow(1, r * qr, qr);
-    Tensor do_flat = matmul(dy_full[static_cast<std::size_t>(r)], wo_cols);  // [s, qr]
-    add_into_columns_(attn.wo().weight().grad,
-                      matmul_tn(dy_full[static_cast<std::size_t>(r)], f.attn_out.reshape({s, qr})),
-                      r * qr);
-    Tensor dout = do_flat.reshape(f.attn_out.shape());
-    Tensor D = nn::online_attn_backward_D(f.attn_out, dout);
+    Tensor dout;
+    dev.compute("bwd.out_proj", [&] {
+      Tensor wo_cols = attn.wo().weight().value.narrow(1, r * qr, qr);
+      Tensor do_flat = matmul(dy_full[static_cast<std::size_t>(r)], wo_cols);  // [s, qr]
+      add_into_columns_(
+          attn.wo().weight().grad,
+          matmul_tn(dy_full[static_cast<std::size_t>(r)], f.attn_out.reshape({s, qr})), r * qr);
+      dout = do_flat.reshape(f.attn_out.shape());
+    });
     Tensor dq = Tensor::zeros(f.q.shape());
     Tensor dk = Tensor::zeros(f.k.shape());
     Tensor dv = Tensor::zeros(f.v.shape());
-    nn::online_attn_backward_step(f.q, f.k, f.v, dout, f.lse, D, /*causal=*/true, 0, 0, dq, dk,
-                                  dv);
-    nn::rope_apply_backward_(dq, 0, attn.rope_base());
-    nn::rope_apply_backward_(dk, 0, attn.rope_base());
-    Tensor dq2 = dq.reshape({s, qr});
-    Tensor dk2 = dk.reshape({s, kvr});
-    Tensor dv2 = dv.reshape({s, kvr});
-    Tensor dxn = matmul(dq2, attn.wq().weight().value.slice0(r * qr, (r + 1) * qr));
-    add_(dxn, matmul(dk2, attn.wk().weight().value.slice0(r * kvr, (r + 1) * kvr)));
-    add_(dxn, matmul(dv2, attn.wv().weight().value.slice0(r * kvr, (r + 1) * kvr)));
-    Tensor gq = attn.wq().weight().grad.slice0(r * qr, (r + 1) * qr);
-    add_(gq, matmul_tn(dq2, f.xn_full));
-    Tensor gk = attn.wk().weight().grad.slice0(r * kvr, (r + 1) * kvr);
-    add_(gk, matmul_tn(dk2, f.xn_full));
-    Tensor gv = attn.wv().weight().grad.slice0(r * kvr, (r + 1) * kvr);
-    add_(gv, matmul_tn(dv2, f.xn_full));
-    if (attn.wq().has_bias()) {
-      Tensor bq = attn.wq().bias().grad.slice0(r * qr, (r + 1) * qr);
-      add_colsum_(bq, dq2);
-      Tensor bk = attn.wk().bias().grad.slice0(r * kvr, (r + 1) * kvr);
-      add_colsum_(bk, dk2);
-      Tensor bv = attn.wv().bias().grad.slice0(r * kvr, (r + 1) * kvr);
-      add_colsum_(bv, dv2);
-    }
-    dxn_partials[static_cast<std::size_t>(r)] = std::move(dxn);
+    dev.compute("bwd.attn", [&] {
+      Tensor D = nn::online_attn_backward_D(f.attn_out, dout);
+      nn::online_attn_backward_step(f.q, f.k, f.v, dout, f.lse, D, /*causal=*/true, 0, 0, dq, dk,
+                                    dv);
+      nn::rope_apply_backward_(dq, 0, attn.rope_base());
+      nn::rope_apply_backward_(dk, 0, attn.rope_base());
+    });
+    dev.compute("bwd.proj", [&] {
+      Tensor dq2 = dq.reshape({s, qr});
+      Tensor dk2 = dk.reshape({s, kvr});
+      Tensor dv2 = dv.reshape({s, kvr});
+      Tensor dxn = matmul(dq2, attn.wq().weight().value.slice0(r * qr, (r + 1) * qr));
+      add_(dxn, matmul(dk2, attn.wk().weight().value.slice0(r * kvr, (r + 1) * kvr)));
+      add_(dxn, matmul(dv2, attn.wv().weight().value.slice0(r * kvr, (r + 1) * kvr)));
+      Tensor gq = attn.wq().weight().grad.slice0(r * qr, (r + 1) * qr);
+      add_(gq, matmul_tn(dq2, f.xn_full));
+      Tensor gk = attn.wk().weight().grad.slice0(r * kvr, (r + 1) * kvr);
+      add_(gk, matmul_tn(dk2, f.xn_full));
+      Tensor gv = attn.wv().weight().grad.slice0(r * kvr, (r + 1) * kvr);
+      add_(gv, matmul_tn(dv2, f.xn_full));
+      if (attn.wq().has_bias()) {
+        Tensor bq = attn.wq().bias().grad.slice0(r * qr, (r + 1) * qr);
+        add_colsum_(bq, dq2);
+        Tensor bk = attn.wk().bias().grad.slice0(r * kvr, (r + 1) * kvr);
+        add_colsum_(bk, dk2);
+        Tensor bv = attn.wv().bias().grad.slice0(r * kvr, (r + 1) * kvr);
+        add_colsum_(bv, dv2);
+      }
+      dxn_partials[static_cast<std::size_t>(r)] = std::move(dxn);
+    });
   });
   std::vector<Tensor> dxn_local = env_->pg().reduce_scatter(dxn_partials);
 
   std::vector<Tensor> dx_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("bwd.proj.norm1", [&](int r) {
     NormStats st1;
     block_->norm1().forward(x_local[static_cast<std::size_t>(r)], st1);
     dx_local[static_cast<std::size_t>(r)] =
         add(dy_local[static_cast<std::size_t>(r)],
             block_->norm1().backward(dxn_local[static_cast<std::size_t>(r)],
                                      x_local[static_cast<std::size_t>(r)], st1));
-  }
+  });
   return dx_local;
 }
 

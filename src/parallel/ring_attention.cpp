@@ -35,7 +35,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::run_forward(const std::vector<Te
   std::vector<Tensor> qs(static_cast<std::size_t>(P));
   std::vector<Tensor> xns(static_cast<std::size_t>(P));
   states.reserve(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("proj", [&](int r) {
     NormStats st;
     Tensor xn = block_->norm1().forward(x_local[static_cast<std::size_t>(r)], st);
     nn::AttentionLayer::Qkv qkv = attn.project_qkv(xn, r * s_l);
@@ -46,7 +46,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::run_forward(const std::vector<Te
     xns[static_cast<std::size_t>(r)] = std::move(xn);
     states.push_back(
         OnlineAttnState::create(qkv.q.dim(0), qkv.q.dim(1), qkv.q.dim(2)));
-  }
+  });
 
   // ---- P rounds: consume the resident KV block, then rotate (the real
   // system overlaps the send/recv with the blockwise attention compute).
@@ -56,11 +56,13 @@ std::vector<Tensor> RingAttentionBlockExecutor::run_forward(const std::vector<Te
       // Causal: the whole block is in the future of every local query.
       if (src > r) continue;
       useful_steps_[static_cast<std::size_t>(r)]++;
-      nn::online_attn_step(states[static_cast<std::size_t>(r)],
-                           qs[static_cast<std::size_t>(r)],
-                           k_blocks[static_cast<std::size_t>(r)],
-                           v_blocks[static_cast<std::size_t>(r)], /*causal=*/true, r * s_l,
-                           src * s_l);
+      env_->device(r).compute("attn", [&] {
+        nn::online_attn_step(states[static_cast<std::size_t>(r)],
+                             qs[static_cast<std::size_t>(r)],
+                             k_blocks[static_cast<std::size_t>(r)],
+                             v_blocks[static_cast<std::size_t>(r)], /*causal=*/true, r * s_l,
+                             src * s_l);
+      });
     }
     if (step + 1 < P) {
       k_blocks = env_->pg().ring_shift(k_blocks);
@@ -75,7 +77,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::run_forward(const std::vector<Te
 
   // ---- Output projection, residual, FFN — all rank-local.
   std::vector<Tensor> z_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("post", [&](int r) {
     AttentionOutput out = nn::online_attn_finalize(states[static_cast<std::size_t>(r)]);
     Tensor y = add(x_local[static_cast<std::size_t>(r)],
                    attn.project_out(out.out));
@@ -90,7 +92,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::run_forward(const std::vector<Te
       fw.lse = out.lse;
       fw.y_local = std::move(y);
     }
-  }
+  });
   if (saved != nullptr) {
     // KV blocks have rotated P-1 times; rotate once more so block r is home.
     k_blocks = env_->pg().ring_shift(k_blocks);
@@ -116,7 +118,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::backward(const std::vector<Tenso
   std::vector<Tensor> dout(static_cast<std::size_t>(P));
   std::vector<Tensor> D(static_cast<std::size_t>(P));
   std::vector<Tensor> dy_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("bwd.ffn", [&](int r) {
     RankFwd& f = fw[static_cast<std::size_t>(r)];
     NormStats st2;
     Tensor yn = block_->norm2().forward(f.y_local, st2);
@@ -127,7 +129,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::backward(const std::vector<Tenso
     D[static_cast<std::size_t>(r)] = nn::online_attn_backward_D(
         f.attn_out, dout[static_cast<std::size_t>(r)]);
     dy_local[static_cast<std::size_t>(r)] = std::move(dy);
-  }
+  });
 
   // ---- Ring backward: every (query rank r, KV source j <= r) pair
   // contributes; dq stays local, dk/dv accumulate at the block's home rank
@@ -142,7 +144,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::backward(const std::vector<Tenso
     dv[static_cast<std::size_t>(r)] =
         Tensor::zeros(fw[static_cast<std::size_t>(r)].v.shape());
   }
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("bwd.attn", [&](int r) {
     RankFwd& f = fw[static_cast<std::size_t>(r)];
     for (int j = 0; j <= r; ++j) {
       nn::online_attn_backward_step(
@@ -151,11 +153,11 @@ std::vector<Tensor> RingAttentionBlockExecutor::backward(const std::vector<Tenso
           /*causal=*/true, r * s_l, j * s_l, dq[static_cast<std::size_t>(r)],
           dk[static_cast<std::size_t>(j)], dv[static_cast<std::size_t>(j)]);
     }
-  }
+  });
 
   // ---- Projection + norm1 backward, rank-local.
   std::vector<Tensor> dx_local(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
+  env_->compute_ranks("bwd.qkv_proj", [&](int r) {
     RankFwd& f = fw[static_cast<std::size_t>(r)];
     Tensor dxn = attn.backward_qkv(dq[static_cast<std::size_t>(r)],
                                    dk[static_cast<std::size_t>(r)],
@@ -165,7 +167,7 @@ std::vector<Tensor> RingAttentionBlockExecutor::backward(const std::vector<Tenso
     dx_local[static_cast<std::size_t>(r)] =
         add(dy_local[static_cast<std::size_t>(r)],
             block_->norm1().backward(dxn, x_local[static_cast<std::size_t>(r)], st1));
-  }
+  });
   return dx_local;
 }
 

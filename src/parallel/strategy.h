@@ -6,9 +6,9 @@
 // u = 1, FpdtBlockExecutor *is* Ulysses (Jacobs et al., 2023), the Table-2
 // baseline. Megatron-SP and Ring Attention bring their own executors. The
 // three baselines share one preset: u = 1, a monolithic loss head (the §5.4
-// logits spike), no offload, no chunk cache and no stream prefetch (so no
-// trainer phase spans). ZeRO stage, kernel backend, grid shape and fault
-// spec pass through; fpdt takes the config as given.
+// logits spike), no offload, no chunk cache and no stream prefetch. ZeRO
+// stage, kernel backend, grid shape and fault spec pass through; fpdt takes
+// the config as given.
 #pragma once
 
 #include <array>

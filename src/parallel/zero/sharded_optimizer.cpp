@@ -49,18 +49,6 @@ std::vector<nn::Adam::Moments>& ShardedOptimizer::ensure_shards(const nn::Param&
   return it->second;
 }
 
-void ShardedOptimizer::emit_span(const std::string& label, std::int64_t bytes_per_rank) {
-  if (!cfg_.emit_spans) return;
-  const int world = env_->world();
-  for (int r = 0; r < world; ++r) {
-    runtime::Device& d = env_->device(r);
-    // Timing-only span, synchronized immediately so the end-of-step
-    // watchdog sees quiescent streams.
-    d.compute_stream().enqueue(label, d.rates().a2a_time(bytes_per_rank, world));
-    d.compute_stream().synchronize();
-  }
-}
-
 void ShardedOptimizer::step(const std::function<void(const nn::ParamVisitor&)>& walk) {
   if (cfg_.stage < 1) {
     reference_.step(walk);
@@ -80,13 +68,9 @@ void ShardedOptimizer::sharded_step(
   const float b1 = static_cast<float>(beta1_);
   const float b2 = static_cast<float>(beta2_);
 
-  std::int64_t scatter_elems = 0;  // grad elements reduce-scattered
-  std::int64_t gather_elems = 0;   // updated weight elements re-replicated
-
   walk([&](nn::Param& p) {
     const std::int64_t n = p.value.numel();
     const std::int64_t s = shard_elems(n, world);
-    scatter_elems += s * world;
 
     // Pad grad and weight to P equal flat shards; the tail pad is zeros, so
     // its moments stay zero and its weight updates are discarded below.
@@ -130,7 +114,6 @@ void ShardedOptimizer::sharded_step(
       // Re-replicate the updated weights through a real all-gather: each
       // rank contributes its updated shard, and the full parameter is
       // written back from the received buffer.
-      gather_elems += s * world;
       std::vector<Tensor> updated(static_cast<std::size_t>(world));
       for (int r = 0; r < world; ++r) {
         updated[static_cast<std::size_t>(r)] = flat_w.slice0(r * s, (r + 1) * s);
@@ -147,9 +130,6 @@ void ShardedOptimizer::sharded_step(
     }
     p.grad.zero_();
   });
-
-  emit_span("zero.scatter", scatter_elems * kGradBytesPerElem);
-  if (gather_elems > 0) emit_span("zero.gather", gather_elems * kParamBytesPerElem);
 }
 
 }  // namespace fpdt::zero

@@ -70,7 +70,6 @@ class ShardedOptimizer {
 
  private:
   void sharded_step(const std::function<void(const nn::ParamVisitor&)>& walk);
-  void emit_span(const std::string& label, std::int64_t bytes_per_rank);
 
   core::FpdtEnv* env_;
   ZeroConfig cfg_;

@@ -25,10 +25,6 @@ namespace fpdt::zero {
 struct ZeroConfig {
   // 0 = replicated, 1/2/3 = ZeRO stages (see above).
   int stage = 0;
-
-  // Emit zero.gather / zero.scatter spans onto each rank's virtual compute
-  // stream so the collectives show up in `fpdt overlap` / trace output.
-  bool emit_spans = true;
 };
 
 // Elements per rank shard for an n-element parameter: ceil(n / world).

@@ -31,9 +31,13 @@ ZeroEngine::ZeroEngine(nn::Model& model, core::FpdtEnv& env, ZeroConfig cfg)
   FPDT_CHECK(cfg_.stage >= 0 && cfg_.stage <= 3)
       << " invalid ZeRO stage " << cfg_.stage;
   const int world = env_->world();
+  // Shards are ceil(numel / P) per parameter: the analytic model divides
+  // exactly, and the difference is the padding bound tests tolerate.
+  std::int64_t total_elems = 0;
+  std::int64_t total_shard_elems = 0;
   model_->visit_params([&](nn::Param& p) {
-    total_elems_ += p.value.numel();
-    total_shard_elems_ += shard_elems(p.value.numel(), world);
+    total_elems += p.value.numel();
+    total_shard_elems += shard_elems(p.value.numel(), world);
   });
 
   // Persistent residency per the stage's partitioning rules (the same rules
@@ -41,9 +45,9 @@ ZeroEngine::ZeroEngine(nn::Model& model, core::FpdtEnv& env, ZeroConfig cfg)
   //   params     full 2N below stage 3, 2 * sum ceil(n/P) at stage 3
   //   grads      full 2N below stage 2, sharded at stage >= 2
   //   optimizer  full 12N at stage 0, sharded at stage >= 1
-  const std::int64_t param_elems = cfg_.stage >= 3 ? total_shard_elems_ : total_elems_;
-  const std::int64_t grad_elems = cfg_.stage >= 2 ? total_shard_elems_ : total_elems_;
-  const std::int64_t optim_elems = cfg_.stage >= 1 ? total_shard_elems_ : total_elems_;
+  const std::int64_t param_elems = cfg_.stage >= 3 ? total_shard_elems : total_elems;
+  const std::int64_t grad_elems = cfg_.stage >= 2 ? total_shard_elems : total_elems;
+  const std::int64_t optim_elems = cfg_.stage >= 1 ? total_shard_elems : total_elems;
   params_resident_.reserve(static_cast<std::size_t>(world));
   grads_resident_.reserve(static_cast<std::size_t>(world));
   optim_resident_.reserve(static_cast<std::size_t>(world));
@@ -69,19 +73,6 @@ ResidentBytes ZeroEngine::resident(int rank) const {
 
 std::int64_t ZeroEngine::group_elems(const ParamWalk& walk) const {
   return sum_numel(collect(walk));
-}
-
-void ZeroEngine::emit_span(const char* label, std::int64_t bytes_per_rank) {
-  if (!cfg_.emit_spans) return;
-  const int world = env_->world();
-  for (int r = 0; r < world; ++r) {
-    runtime::Device& d = env_->device(r);
-    const double dt = d.rates().a2a_time(bytes_per_rank, world);
-    // Synchronize immediately: the span is timing-only, and the step
-    // watchdog (fault/watchdog) requires idle streams at step end.
-    d.compute_stream().enqueue(label, dt);
-    d.compute_stream().synchronize();
-  }
 }
 
 void ZeroEngine::gather_group(const std::string& key, const ParamWalk& walk) {
@@ -148,8 +139,6 @@ void ZeroEngine::gather_group(const std::string& key, const ParamWalk& walk) {
       }
     }
   }
-
-  emit_span(("zero.gather." + key).c_str(), elems * kParamBytesPerElem);
 }
 
 void ZeroEngine::release_group(const std::string& key) {

@@ -17,8 +17,8 @@
 //               bytes, fault::FaultInjector can hit it), writes the result
 //               back into the parameter tensors, charges the gathered
 //               working buffer on every rank for the duration of the
-//               layer's use, and emits a zero.gather span on each rank's
-//               virtual timeline. release_group() drops the buffer.
+//               layer's use (the group prices the all-gather on each rank's
+//               virtual timeline). release_group() drops the buffer.
 //   ZeRO-2/3    charge_grad_bucket() models the transient full-gradient
 //               bucket a layer materializes during backward before the
 //               reduce-scatter frees it to the owning rank's shard.
@@ -66,13 +66,6 @@ class ZeroEngine {
   int world() const;
   core::FpdtEnv& env() { return *env_; }
 
-  // Total parameter elements across the wrapped model.
-  std::int64_t total_param_elems() const { return total_elems_; }
-  // Sum over params of ceil(numel / P) — the exact shard size the engine
-  // charges (the analytic model divides exactly; the difference is the
-  // per-parameter padding bound tests tolerate).
-  std::int64_t total_shard_elems() const { return total_shard_elems_; }
-
   // Measured residency charged against rank r's HBM pool right now
   // (persistent shards only; gathered buffers and grad buckets are reported
   // by the pool's used/peak counters).
@@ -91,13 +84,10 @@ class ZeroEngine {
 
  private:
   std::int64_t group_elems(const ParamWalk& walk) const;
-  void emit_span(const char* label, std::int64_t bytes_per_rank);
 
   nn::Model* model_;
   core::FpdtEnv* env_;
   ZeroConfig cfg_;
-  std::int64_t total_elems_ = 0;
-  std::int64_t total_shard_elems_ = 0;
 
   // Persistent residency, one allocation per rank per component.
   std::vector<runtime::Allocation> params_resident_;

@@ -87,6 +87,24 @@ class Device {
   const StreamRates& rates() const { return rates_; }
   void set_rates(const StreamRates& rates) { rates_ = rates; }
 
+  // Runs `body` eagerly as one compute region: the kernels it dispatches on
+  // this thread charge their analytic work (kernels/op_cost.h) to a
+  // WorkSink, and one span priced from it (StreamRates::compute_time) is
+  // enqueued on the compute stream after `waits`. Returns its event.
+  template <typename Body>
+  Event compute(std::string label, Body&& body, std::vector<Event> waits = {}) {
+    obs::WorkSink work;
+    struct Install {  // restores the enclosing sink, also when body throws
+      obs::WorkSink* prev;
+      ~Install() { obs::t_work_sink = prev; }
+    } install{std::exchange(obs::t_work_sink, &work)};
+    body();
+    std::int64_t flops = 0;
+    for (const obs::OpWork& w : work.kind) flops += w.flops;
+    return compute_.enqueue(std::move(label), rates_.compute_time(work), std::move(waits), {},
+                            flops);
+  }
+
   // Drains all three streams (executing deferred side effects).
   void synchronize_streams() {
     compute_.synchronize();

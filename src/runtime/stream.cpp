@@ -25,11 +25,17 @@ double Event::ready_time() const {
 // ---- Stream -----------------------------------------------------------------
 
 Event Stream::enqueue(std::string label, double duration_s, std::vector<Event> waits,
-                      std::function<void()> fn) {
+                      std::function<void()> fn, std::int64_t flops) {
   FPDT_CHECK_GE(duration_s, 0.0) << " negative duration on stream " << name_;
   const std::int64_t seq = executed() + static_cast<std::int64_t>(pending_.size());
-  pending_.push_back(Pending{std::move(label), duration_s, std::move(waits), std::move(fn)});
+  pending_.push_back(
+      Pending{std::move(label), duration_s, std::move(waits), std::move(fn), flops});
   return Event(this, seq);
+}
+
+Event Stream::record() {
+  const std::int64_t seq = executed() + static_cast<std::int64_t>(pending_.size()) - 1;
+  return seq < 0 ? Event() : Event(this, seq);
 }
 
 void Stream::synchronize() {
@@ -75,7 +81,7 @@ void Stream::execute_front() {
   if (fault::faults_enabled()) {
     duration += fault::FaultInjector::instance().straggler_delay(trace_rank_);
   }
-  spans_.push_back(StreamSpan{std::move(task.label), start, start + duration});
+  spans_.push_back(StreamSpan{std::move(task.label), start, start + duration, task.flops});
   tail_ = start + duration;
   if (obs::tracing_enabled()) {
     // Emit the resolved span (and advance the rank's virtual clock) before

@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/workmeter.h"
+
 namespace fpdt::runtime {
 
 class Stream;
@@ -64,11 +66,13 @@ class Event {
   std::int64_t seq_ = -1;
 };
 
-// One executed task on a stream's virtual timeline.
+// One executed task on a stream's virtual timeline; `flops` is the kernel
+// work a compute region's span was priced from (0 for every other task).
 struct StreamSpan {
   std::string label;
   double start = 0.0;
   double finish = 0.0;
+  std::int64_t flops = 0;
   double duration() const { return finish - start; }
 };
 
@@ -88,6 +92,17 @@ struct StreamRates {
   // *compute* stream (it has no separate comm queue): single-node NVLink.
   double comm_bytes_per_s = 100e9;
   double comm_latency_s = 5e-6;
+
+  // A compute region: its kernels' analytic FLOPs per kind (attention at the
+  // fused-attention rate, the rest at the matmul rate) plus one launch.
+  double compute_time(const obs::WorkSink& work) const {
+    double t = kernel_overhead_s;
+    for (int k = 0; k < obs::kOpKinds; ++k) {
+      const bool attn = static_cast<obs::OpKind>(k) == obs::OpKind::kAttention;
+      t += static_cast<double>(work.kind[k].flops) / (attn ? attn_flops_per_s : gemm_flops_per_s);
+    }
+    return t;
+  }
 
   double gemm_time(double flops) const { return flops / gemm_flops_per_s + kernel_overhead_s; }
   double attn_time(double flops) const { return flops / attn_flops_per_s + kernel_overhead_s; }
@@ -114,10 +129,14 @@ class Stream {
   const std::string& name() const { return name_; }
 
   // Queues a task. `waits` are cross-stream dependencies (CUDA events);
-  // `fn` (optional) is the deferred side effect. Returns the task's
-  // completion event.
+  // `fn` (optional) is the deferred side effect; `flops` goes on the span.
+  // Returns the task's completion event.
   Event enqueue(std::string label, double duration_s, std::vector<Event> waits = {},
-                std::function<void()> fn = {});
+                std::function<void()> fn = {}, std::int64_t flops = 0);
+
+  // Completion event of the last task enqueued so far (cudaEventRecord);
+  // null on a stream that never had a task.
+  Event record();
 
   // Executes every pending task in FIFO order.
   void synchronize();
@@ -172,6 +191,7 @@ class Stream {
     double duration = 0.0;
     std::vector<Event> waits;
     std::function<void()> fn;
+    std::int64_t flops = 0;
   };
 
   void drain_through(std::int64_t seq);

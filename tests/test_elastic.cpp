@@ -44,9 +44,9 @@ fault::ElasticOptions small_options(int world, int zero_stage, const std::string
   opt.scenario = scenario;
   opt.steps = 4;
   opt.world = world;
-  opt.chunks = 1;
+  opt.cfg.chunks_per_rank = 1;
   opt.chunk_tokens = 8;
-  opt.zero_stage = zero_stage;
+  opt.cfg.zero_stage = zero_stage;
   // 8 heads: worlds {1, 2, 4, 8} are valid, so every shrink has somewhere
   // to land and world 8 can lose a rank.
   opt.model = nn::tiny_gpt(32, 1, 8, 48);

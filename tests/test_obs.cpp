@@ -376,13 +376,11 @@ TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
     TracerWindow window;
     std::vector<std::string> labels;
     expect_traced_step_bit_identical(s, &labels);
-    if (s != parallel::Strategy::kFpdt) {
-      // The baselines' presets keep the trainer's phase spans off.
-      for (const char* phase : {"embed", "loss", "bwd.embed"}) {
-        EXPECT_EQ(std::count(labels.begin(), labels.end(), phase), 0) << phase;
-      }
-      continue;
+    // Every strategy prices the trainer's own phases, once per rank and step.
+    for (const char* phase : {"embed", "loss", "bwd.embed"}) {
+      EXPECT_EQ(std::count(labels.begin(), labels.end(), phase), 1) << phase;
     }
+    if (s != parallel::Strategy::kFpdt) continue;
     // The FPDT step's trace covers every built-in category on both ranks.
     std::set<std::string> cats;
     std::set<int> ranks;
@@ -708,6 +706,117 @@ TEST(ProfilerTest, RunProfileCarriesRooflineAndPhaseWork) {
   EXPECT_FALSE(obs::work_metering_enabled());  // run_profile restores the flag
   EXPECT_TRUE(JsonChecker(res.json(opt)).valid());
 }
+
+// ---- One cost source for the virtual clock ---------------------------------
+
+// Every virtual-clock field of two StepStats, compared bitwise (host times
+// are the only fields allowed to differ).
+void expect_same_virtual_clock(const obs::StepStats& a, const obs::StepStats& b) {
+  EXPECT_EQ(a.tokens, b.tokens);
+  EXPECT_EQ(a.loss, b.loss);
+  EXPECT_EQ(a.virtual_step_s, b.virtual_step_s);
+  EXPECT_EQ(a.tokens_per_s, b.tokens_per_s);
+  EXPECT_EQ(a.compute_busy_s, b.compute_busy_s);
+  EXPECT_EQ(a.h2d_busy_s, b.h2d_busy_s);
+  EXPECT_EQ(a.d2h_busy_s, b.d2h_busy_s);
+  EXPECT_EQ(a.hidden_transfer_s, b.hidden_transfer_s);
+  EXPECT_EQ(a.exposed_transfer_s, b.exposed_transfer_s);
+  EXPECT_EQ(a.overlap_ratio, b.overlap_ratio);
+  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+  EXPECT_EQ(a.all2all_bytes, b.all2all_bytes);
+  EXPECT_EQ(a.intra_link_bytes, b.intra_link_bytes);
+  EXPECT_EQ(a.inter_link_bytes, b.inter_link_bytes);
+  EXPECT_EQ(a.inter_bw_util, b.inter_bw_util);
+  EXPECT_EQ(a.hbm_peak_bytes, b.hbm_peak_bytes);
+  EXPECT_EQ(a.phase_s, b.phase_s);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.op_bytes, b.op_bytes);
+  EXPECT_EQ(a.mfu, b.mfu);
+  EXPECT_EQ(a.phase_flops, b.phase_flops);
+  EXPECT_EQ(a.phase_mfu, b.phase_mfu);
+}
+
+// One metered, profiled step of an FpdtTrainer under `cfg` and `factory`;
+// `span_flops` gets the FLOPs recorded on every rank's compute spans.
+obs::StepStats profiled_step(const core::FpdtConfig& cfg, core::BlockExecutorFactory factory,
+                             std::int64_t* span_flops) {
+  const nn::ModelConfig mcfg = nn::tiny_gpt(32, 2, 4, 64);
+  const int world = 2;
+  data::SyntheticCorpus corpus(mcfg.vocab, 5);
+  const std::vector<std::int32_t> tokens =
+      corpus.sample(world * cfg.chunks_per_rank * 16 + 1);
+  nn::Model model(mcfg, 42);
+  core::FpdtTrainer trainer(model, world, cfg, -1, factory);
+  obs::StepProfiler profiler(trainer.env());
+  obs::Workmeter::instance().set_enabled(true);
+  profiler.begin_step();
+  const double loss = trainer.train_step_grads(tokens);
+  const obs::StepStats st =
+      profiler.end_step(0, static_cast<std::int64_t>(tokens.size()) - 1, loss);
+  obs::Workmeter::instance().set_enabled(false);
+  *span_flops = 0;
+  for (int r = 0; r < world; ++r) {
+    for (const runtime::StreamSpan& sp : trainer.env().device(r).compute_stream().spans()) {
+      *span_flops += sp.flops;
+    }
+  }
+  return st;
+}
+
+class StrategyClock : public ::testing::TestWithParam<parallel::Strategy> {};
+
+TEST_P(StrategyClock, OneCostSourceCoversTheStep) {
+  const parallel::Strategy s = GetParam();
+
+  // Tracing observes the clock without moving it.
+  obs::ProfileOptions opt;
+  opt.strategy = parallel::strategy_name(s);
+  opt.steps = 1;
+  opt.cfg.chunks_per_rank = 2;
+  opt.chunk_tokens = 16;
+  opt.trace_path.clear();
+  opt.metrics_path.clear();
+  opt.trace = false;
+  const obs::StepStats untraced = obs::run_profile(opt).steps.at(0);
+  opt.trace = true;
+  const obs::StepStats traced = obs::run_profile(opt).steps.at(0);
+  expect_same_virtual_clock(untraced, traced);
+
+  // The clock covers the whole step, not just the optimizer sweep.
+  ASSERT_TRUE(untraced.phase_s.count("optimizer"));
+  EXPECT_GT(untraced.virtual_step_s, 2.0 * untraced.phase_s.at("optimizer"));
+  for (const char* phase : {"embed", "loss", "qkv", "attention", "ffn"}) {
+    EXPECT_GT(untraced.phase_s.count(phase), 0u) << phase;
+  }
+
+  // Every FLOP the Workmeter charged priced exactly one compute span.
+  core::FpdtConfig cfg;
+  cfg.chunks_per_rank = 2;
+  cfg = parallel::strategy_config(s, cfg);
+  std::int64_t span_flops = 0;
+  const obs::StepStats st = profiled_step(cfg, parallel::executor_factory(s), &span_flops);
+  EXPECT_GT(st.flops, 0);
+  EXPECT_EQ(span_flops, st.flops);
+
+  // Without offload the stream-prefetch flag moves nothing: a preset
+  // that turns it off prices the step exactly as one that leaves it on.
+  if (!cfg.offload) {
+    core::FpdtConfig streamed = cfg;
+    streamed.stream_prefetch = !cfg.stream_prefetch;
+    std::int64_t streamed_flops = 0;
+    expect_same_virtual_clock(
+        st, profiled_step(streamed, parallel::executor_factory(s), &streamed_flops));
+    EXPECT_EQ(streamed_flops, span_flops);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyClock, ::testing::ValuesIn(parallel::kStrategies),
+                         [](const ::testing::TestParamInfo<parallel::Strategy>& info) {
+                           std::string name = parallel::strategy_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 TEST(TracerTest, PerfCountersInterleaveWithSpansInJson) {
   TracerWindow window;

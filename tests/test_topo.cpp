@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <utility>
+#include <vector>
 
 #include "comm/hierarchical_group.h"
 #include "comm/process_group.h"
@@ -166,6 +168,61 @@ TEST(HierarchicalGroupTest, FlatGroupHasNoLinkLedger) {
   HierarchicalProcessGroup hier(Topology::grid(2, 2, sim::a100_80g_node()));
   ASSERT_NE(hier.topology(), nullptr);
   EXPECT_EQ(hier.topology()->nodes(), 2);
+}
+
+TEST(HierarchicalGroupTest, CostSinkPricesEachCollectiveOnceFromLinkTime) {
+  // The virtual clock's collective price: one sink call per logical
+  // collective. A flat group reports its remote-only bytes per rank; a
+  // topology-aware group reports the link-busy seconds its phases charged
+  // to the ledger (summed over phases, never once per phase).
+  for (const auto& [P, nodes] : {std::pair{4, 2}, std::pair{4, 1}}) {
+    SCOPED_TRACE(::testing::Message() << P << " ranks on " << nodes << " nodes");
+    ProcessGroup flat(P);
+    HierarchicalProcessGroup hier(Topology::grid(nodes, P / nodes, sim::a100_80g_node()));
+    std::vector<comm::CollectiveCost> flat_costs, hier_costs;
+    flat.set_cost_sink([&](const comm::CollectiveCost& c) { flat_costs.push_back(c); });
+    hier.set_cost_sink([&](const comm::CollectiveCost& c) { hier_costs.push_back(c); });
+    Rng rng(0xC057u);
+    std::vector<Tensor> heads, shard;
+    for (int r = 0; r < P; ++r) {
+      heads.push_back(Tensor::randn({3, 2 * P, 4}, rng));
+      shard.push_back(Tensor::randn({2 * P, 3}, rng));
+    }
+    const auto collectives = std::vector<std::pair<const char*, std::function<void(ProcessGroup&)>>>{
+        {"a2a heads_to_seq", [&](ProcessGroup& g) { g.all_to_all_heads_to_seq(heads); }},
+        {"all_gather", [&](ProcessGroup& g) { g.all_gather(shard); }},
+        {"reduce_scatter", [&](ProcessGroup& g) { g.reduce_scatter(shard); }},
+        {"all_reduce", [&](ProcessGroup& g) { g.all_reduce(shard); }},
+        {"ring_shift", [&](ProcessGroup& g) { g.ring_shift(shard); }},
+    };
+    for (const auto& [name, run] : collectives) {
+      const comm::CommStats before = flat.stats();
+      run(flat);
+      ASSERT_EQ(flat_costs.size(), 1u) << name;
+      EXPECT_STREQ(flat_costs[0].name, name);
+      EXPECT_LT(flat_costs[0].link_busy_s, 0.0);
+      EXPECT_GT(flat_costs[0].bytes_per_rank, 0);
+      EXPECT_LE(flat_costs[0].bytes_per_rank * P, flat.stats().total() - before.total());
+      flat_costs.clear();
+
+      const topo::LinkStats link_before = hier.link_stats();
+      run(hier);
+      ASSERT_EQ(hier_costs.size(), 1u) << name;
+      EXPECT_STREQ(hier_costs[0].name, name);
+      const topo::LinkStats link = hier.link_stats();
+      const double busy = (link.intra_busy_s - link_before.intra_busy_s) +
+                          (link.inter_busy_s - link_before.inter_busy_s);
+      EXPECT_GT(hier_costs[0].link_busy_s, 0.0) << name;
+      EXPECT_NEAR(hier_costs[0].link_busy_s, busy, 1e-12 * busy) << name;
+      hier_costs.clear();
+    }
+  }
+  // A single rank's collective is a local copy: no link, no price.
+  ProcessGroup solo(1);
+  int calls = 0;
+  solo.set_cost_sink([&](const comm::CollectiveCost&) { ++calls; });
+  solo.all_gather(std::vector<Tensor>{Tensor::zeros({4})});
+  EXPECT_EQ(calls, 0);
 }
 
 // ---- Weak-scaling model ----------------------------------------------------

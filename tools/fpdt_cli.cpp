@@ -396,12 +396,12 @@ int cmd_chaos(int argc, char** argv, int base) {
     if (f.match("--spec", &opt.spec)) continue;
     if (f.match("--steps", &opt.steps)) continue;
     if (f.match("--gpus", &opt.world)) continue;
-    if (f.match("--chunks", &opt.chunks)) continue;
+    if (f.match("--chunks", &opt.cfg.chunks_per_rank)) continue;
     if (f.match("--chunk-tokens", &opt.chunk_tokens)) continue;
     if (f.match("--seed", &opt.seed)) continue;
     if (f.match("--ckpt", &opt.checkpoint_path)) continue;
     if (f.match_set("--no-verify", &opt.verify_against_clean, false)) continue;
-    if (f.match("--zero-stage", &opt.zero_stage)) continue;
+    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
     f.unknown();
   }
 
@@ -429,22 +429,22 @@ int cmd_elastic(int argc, char** argv, int base) {
     if (f.match("--scenario", &opt.scenario)) continue;
     if (f.match("--steps", &opt.steps)) continue;
     if (f.match("--gpus", &opt.world)) continue;
-    if (f.match("--chunks", &opt.chunks)) continue;
+    if (f.match("--chunks", &opt.cfg.chunks_per_rank)) continue;
     if (f.match("--chunk-tokens", &opt.chunk_tokens)) continue;
     if (f.match("--seed", &opt.seed)) continue;
     if (f.match("--ckpt", &opt.checkpoint_path)) continue;
     if (f.match_set("--no-verify", &opt.verify_twin, false)) continue;
-    if (f.match("--zero-stage", &opt.zero_stage)) continue;
-    if (f.match("--ranks-per-node", &opt.ranks_per_node)) continue;
-    if (f.match("--head-degree", &opt.head_degree)) continue;
+    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
+    if (f.match("--ranks-per-node", &opt.cfg.ranks_per_node)) continue;
+    if (f.match("--head-degree", &opt.cfg.head_degree)) continue;
     if (f.match_set("--keep-ckpt", &opt.keep_checkpoint, true)) continue;
     f.unknown();
   }
 
   std::cout << "elastic: scenario '" << opt.scenario << "' world " << opt.world << " zero-stage "
-            << opt.zero_stage;
-  if (opt.ranks_per_node > 0 || opt.head_degree > 0) {
-    std::cout << " grid rpn=" << opt.ranks_per_node << " hd=" << opt.head_degree;
+            << opt.cfg.zero_stage;
+  if (opt.cfg.ranks_per_node > 0 || opt.cfg.head_degree > 0) {
+    std::cout << " grid rpn=" << opt.cfg.ranks_per_node << " hd=" << opt.cfg.head_degree;
   }
   std::cout << "\n";
   const fault::ElasticResult res = fault::run_elastic(opt);
