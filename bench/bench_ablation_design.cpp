@@ -18,6 +18,7 @@
 
 #include "common/table.h"
 #include "common/units.h"
+#include "kernels/op_cost.h"
 #include "nn/model_config.h"
 #include "perfmodel/evaluate.h"
 #include "sim/timeline.h"
@@ -55,9 +56,12 @@ int main() {
     const std::int64_t kv_bytes = 2 * 64 * 1024 * cfg.n_kv_head / world *
                                   cfg.head_dim() * 2;
     TextTable t({"strategy", "latency", "vs attention fwd"});
-    const double attn = cm.attn_time(
-        0.5 * sim::CostModel::attn_pair_flops(64 * 1024, 64 * 1024, cfg.n_head / world,
-                                              cfg.head_dim()));
+    const std::int64_t h_local = cfg.n_head / world;
+    const std::int64_t kv_local = cfg.n_kv_head / world;
+    const kernels::AttnDims diag{64 * 1024, 64 * 1024, h_local, kv_local, cfg.head_dim(),
+                                 h_local / kv_local};
+    const double attn =
+        cm.attn_time(static_cast<double>(kernels::online_attn_step_cost(diag, true, 0, 0).flops));
     const struct {
       const char* name;
       sim::FetchStrategy st;

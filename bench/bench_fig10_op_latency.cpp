@@ -8,6 +8,7 @@
 
 #include "common/table.h"
 #include "common/units.h"
+#include "kernels/op_cost.h"
 #include "nn/model_config.h"
 #include "sim/cost_model.h"
 
@@ -32,9 +33,13 @@ int main() {
     const std::int64_t a2a_bytes =
         chunk / world * (cfg.d_model + 2 * kv_local * world * dh) * 2;
     const double a2a = cm.all2all_time(a2a_bytes);
-    const double fwd =
-        cm.attn_time(0.5 * CostModel::attn_pair_flops(chunk, chunk, h_local, dh));
-    const double bwd = 2.5 * fwd;
+    // The diagonal (causal) chunk pair, priced with the kernels' own
+    // exact-pair FLOP formulas.
+    const kernels::AttnDims dm{chunk, chunk, h_local, kv_local, dh, h_local / kv_local};
+    const auto fwd_flops = kernels::online_attn_step_cost(dm, true, 0, 0).flops;
+    const auto bwd_flops = kernels::online_attn_backward_step_cost(dm, true, 0, 0).flops;
+    const double fwd = cm.attn_time(static_cast<double>(fwd_flops));
+    const double bwd = cm.attn_time(static_cast<double>(bwd_flops));
     const std::int64_t fetch_bytes = 3 * chunk * h_local * dh * 2;
     const double f_multi = cm.fetch_time(fetch_bytes, FetchStrategy::kPerGpu);
     const double f_scatter = cm.fetch_time(fetch_bytes, FetchStrategy::kOneGpuScatter);

@@ -44,7 +44,7 @@ int main() {
   std::cout << "Weak scaling — Llama-8B, " << format_token_count(ctx_per_gpu)
             << " context per GPU, growing the cluster\n";
   table.print(std::cout);
-  table.write_csv("weak_scaling.csv");
+  table.write_csv("weak_scaling_strategies.csv");
   std::cout << "\nShape: the global sequence grows with the cluster, so attention work per\n"
                "GPU grows linearly — MFU *rises* for the overlap-friendly strategies while\n"
                "Megatron-SP pays the cross-node gathered-activation traffic.\n";

@@ -85,6 +85,10 @@ run_lane() {
   # runs its phase subgroups concurrently from parallel_for_ranks callers,
   # so its link-ledger locking is exactly what TSan is for.
   ci/topo_smoke.sh "$dir"
+  # Figures smoke under the sanitizer: every committed simulator and figure
+  # CSV (Figs. 1/10/11/12, Tables 1/2/3, ablations, both weak-scaling
+  # sweeps) regenerates byte-identical to the repo copy.
+  ci/figures_smoke.sh "$dir"
 }
 
 lanes=("$@")

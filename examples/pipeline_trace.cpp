@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   std::cout << "Forward task trace (per-chunk: proj -> All2All -> online attention over\n"
                "cached KV chunks -> All2All back -> out-proj+FFN; offloads on the D2H\n"
                "stream, prefetches on H2D):\n\n";
-  std::cout << sim::fpdt_forward_trace(cfg, cm, s_local, u, /*offload=*/true,
-                                       /*double_buffer=*/true, 48);
+  std::cout << sim::build_fpdt_forward_sim(cfg, cm, s_local, u, /*offload=*/true,
+                                           /*double_buffer=*/true)
+                   .trace(48);
   return 0;
 }

@@ -122,24 +122,32 @@ void ProcessGroup::guard(const char* what) const {
 
 // Emits one instant per participating rank (value = logical bytes that rank
 // moved in this collective) plus a running "comm bytes" counter, so every
-// rank's trace lane shows its collective traffic. Stamped at each rank's own
-// virtual clock. Collectives run once for the whole group, hence the loop.
+// rank's trace lane shows its collective traffic. A flat group with a cost
+// sink hands the emission to the sink, which stamps each instant at the
+// start of the span it priced; otherwise the instants land at each rank's
+// current virtual clock. Collectives run once for the whole group, hence
+// the per-rank loop.
 void ProcessGroup::report_collective(const char* name, std::int64_t bytes_per_rank) const {
-  if (topology() == nullptr) charge_cost({name, bytes_per_rank});
-  if (!obs::tracing_enabled()) return;
-  const int world = world_size_;
-  const std::int64_t cumulative = stats().total() / world;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  for (int r = 0; r < world; ++r) {
-    tracer.instant(obs::kCatComm, name, r, "comm", static_cast<double>(bytes_per_rank), true);
-    tracer.counter(obs::kCatComm, "comm bytes", r, static_cast<double>(cumulative));
+  CollectiveCost cost{name, bytes_per_rank};
+  if (obs::tracing_enabled()) {
+    const std::int64_t cumulative = stats().total() / world_size_;
+    cost.trace = [name, bytes_per_rank, cumulative](int r, double start_s) {
+      obs::Tracer& tracer = obs::Tracer::instance();
+      tracer.instant_at(obs::kCatComm, name, r, "comm", start_s,
+                        static_cast<double>(bytes_per_rank));
+      tracer.counter(obs::kCatComm, "comm bytes", r, static_cast<double>(cumulative));
+    };
   }
+  if (topology() == nullptr && charge_cost(cost)) return;
+  if (!cost.trace) return;
+  for (int r = 0; r < world_size_; ++r) cost.trace(r, obs::Tracer::instance().clock(r));
 }
 
-void ProcessGroup::charge_cost(const CollectiveCost& cost) const {
+bool ProcessGroup::charge_cost(const CollectiveCost& cost) const {
   // A single rank's "collective" is a local copy; it occupies no link.
-  if (!cost_sink_ || world_size_ <= 1) return;
+  if (!cost_sink_ || world_size_ <= 1) return false;
   cost_sink_(cost);
+  return true;
 }
 
 std::vector<Tensor> ProcessGroup::all_to_all_heads_to_seq(std::span<const Tensor> local) const {

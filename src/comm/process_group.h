@@ -53,6 +53,10 @@ struct CollectiveCost {
   const char* name = "";
   std::int64_t bytes_per_rank = 0;
   double link_busy_s = -1.0;  // < 0: price bytes_per_rank at the comm rate
+  // Set only while tracing: the sink calls it once per rank with the
+  // virtual start of the span it priced the collective as, and it emits
+  // that rank's trace instant there.
+  std::function<void(int rank, double start_s)> trace;
 };
 using CostSink = std::function<void(const CollectiveCost&)>;
 
@@ -167,7 +171,9 @@ class ProcessGroup {
   // Traces one finished collective and, on a flat group, prices it; a
   // topology-aware group prices its link time itself via charge_cost.
   void report_collective(const char* name, std::int64_t bytes_per_rank) const;
-  void charge_cost(const CollectiveCost& cost) const;
+  // Hands `cost` to the sink; false when nothing prices it (no sink, or a
+  // single rank).
+  bool charge_cost(const CollectiveCost& cost) const;
 
   mutable AtomicStats stats_;
 

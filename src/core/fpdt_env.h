@@ -54,13 +54,22 @@ class FpdtEnv {
         });
     // Price every collective once, where the group reports it: it blocks
     // every rank's compute stream (the runtime has no comm queue) for the
-    // group's link-busy time, else for its bytes at the comm rate.
+    // group's link-busy time, else for its bytes at the comm rate. While
+    // tracing, the span's side effect emits the collective's instant at the
+    // span's start.
     pg_->set_cost_sink([this](const comm::CollectiveCost& c) {
       for (const auto& d : devices_) {
         const runtime::StreamRates& rt = d->rates();
         const double by_bytes =
             static_cast<double>(c.bytes_per_rank) / rt.comm_bytes_per_s + rt.comm_latency_s;
-        d->compute_stream().enqueue(c.name, c.link_busy_s >= 0.0 ? c.link_busy_s : by_bytes);
+        runtime::Stream& s = d->compute_stream();
+        std::function<void()> trace;
+        if (c.trace) {
+          trace = [&s, emit = c.trace, r = d->rank()] {
+            emit(r, s.trace_offset() + s.spans().back().start);
+          };
+        }
+        s.enqueue(c.name, c.link_busy_s >= 0.0 ? c.link_busy_s : by_bytes, {}, std::move(trace));
       }
     });
   }

@@ -27,6 +27,7 @@
 // *analytic* projections (obs/bench.h) accumulate in double instead.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "kernels/backend.h"
@@ -71,16 +72,22 @@ inline obs::OpWork gemm_tn_acc_cost(std::int64_t k, std::int64_t m, std::int64_t
 // ---- Attention -------------------------------------------------------------
 
 // Unmasked (query, key) pairs of one attention call, per query head: the
-// exact per-row sum of causal_bound(), i.e. precisely the pairs every
-// backend computes. O(sq) integer loop — negligible next to the O(sq·sk·d)
-// kernel it accounts for.
+// exact sum over rows of causal_bound(), i.e. precisely the pairs every
+// backend computes, in closed form. Row r's bound is clamp(b0 + r, 0, sk)
+// with b0 = q_pos0 - k_pos0 + 1, so the rows split into a masked prefix
+// (bound 0), an arithmetic ramp (bound b0 + r < sk) and a full tail
+// (bound sk). O(1), so the simulator can price paper-scale chunk pairs.
 inline std::int64_t attn_unmasked_pairs(const AttnDims& dm, bool causal, std::int64_t q_pos0,
                                         std::int64_t k_pos0) {
-  std::int64_t pairs = 0;
-  for (std::int64_t i = 0; i < dm.sq; ++i) {
-    pairs += causal_bound(causal, q_pos0 + i, k_pos0, dm.sk);
-  }
-  return pairs;
+  if (!causal) return dm.sq * dm.sk;
+  const std::int64_t b0 = q_pos0 - k_pos0 + 1;
+  const std::int64_t begin = std::clamp<std::int64_t>(1 - b0, 0, dm.sq);   // first bound >= 1
+  const std::int64_t end = std::clamp<std::int64_t>(dm.sk - b0, begin, dm.sq);  // first >= sk
+  // Σ_{r in [begin, end)} (b0 + r), halving whichever factor is even.
+  const std::int64_t n = end - begin;
+  const std::int64_t first_plus_last = 2 * b0 + begin + end - 1;
+  const std::int64_t ramp = n % 2 == 0 ? n / 2 * first_plus_last : first_plus_last / 2 * n;
+  return ramp + (dm.sq - end) * dm.sk;
 }
 
 // Materialised forward: per unmasked pair per head, QKᵀ (2d) + softmax

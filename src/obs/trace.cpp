@@ -88,6 +88,14 @@ void Tracer::instant(std::string category, std::string name, int rank, std::stri
   push_locked(std::move(ev));
 }
 
+void Tracer::instant_at(std::string category, std::string name, int rank, std::string track,
+                        double ts_s, double value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  push_locked({.kind = TraceEvent::Kind::kInstant, .category = std::move(category),
+               .name = std::move(name), .track = std::move(track), .rank = rank, .ts_s = ts_s,
+               .value = value, .has_value = true});
+}
+
 void Tracer::counter(std::string category, std::string name, int rank, double value,
                      int clock_rank) {
   TraceEvent ev;

@@ -90,6 +90,10 @@ class Tracer {
                 double start_s, double dur_s, double value = 0.0, bool has_value = false);
   void instant(std::string category, std::string name, int rank, std::string track,
                double value = 0.0, bool has_value = false);
+  // An instant with a value at an explicit virtual time (e.g. the start of
+  // the stream span it belongs to) instead of the rank's current clock.
+  void instant_at(std::string category, std::string name, int rank, std::string track,
+                  double ts_s, double value);
   // Counters are stamped at `clock_rank`'s current clock (defaults to `rank`;
   // pass the acting rank for node-level pools whose own rank is kNodeRank).
   void counter(std::string category, std::string name, int rank, double value,

@@ -29,14 +29,6 @@ class CostModel {
   double gemm_time(double flops) const;
   double attn_time(double flops) const;
 
-  // FLOPs of one attention chunk pair: cq query rows vs ck key rows over
-  // h_local heads of dim dh (QKᵀ + PV, multiply-accumulate = 2 FLOPs).
-  static double attn_pair_flops(std::int64_t cq, std::int64_t ck, std::int64_t h_local,
-                                std::int64_t dh) {
-    return 4.0 * static_cast<double>(cq) * static_cast<double>(ck) *
-           static_cast<double>(h_local) * static_cast<double>(dh);
-  }
-
   // ---- Collectives (per-GPU payload bytes) ----
   // Ulysses All2All: each GPU exchanges (P-1)/P of its payload; traffic to
   // off-node peers shares the node's IB HCA.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "kernels/op_cost.h"
 
 namespace fpdt::sim {
 
@@ -11,234 +12,132 @@ namespace {
 
 constexpr std::int64_t kBf16 = 2;
 
-struct LayerShapes {
-  std::int64_t d, dh, h, hk, kv_dim, ffn, c_local, c_global, h_local, hk_local, u;
-  bool llama;
+using core::ChunkGeometry;
+using core::ChunkSchedule;
+using core::OpKind;
+using core::ScheduleOp;
 
-  double proj_qkv_flops() const {
-    return 2.0 * static_cast<double>(c_local) * static_cast<double>(d) *
-           static_cast<double>(d + 2 * kv_dim);
-  }
-  double proj_out_flops() const {
-    return 2.0 * static_cast<double>(c_local) * static_cast<double>(d) *
-           static_cast<double>(d);
-  }
-  double ffn_flops() const {
-    return 2.0 * static_cast<double>(c_local) * static_cast<double>(d) *
-           static_cast<double>(ffn) * (llama ? 3.0 : 2.0);
-  }
-  std::int64_t qkv_chunk_bytes() const { return c_local * (d + 2 * kv_dim) * kBf16; }
-  std::int64_t kv_hat_chunk_bytes() const { return 2 * c_global * hk_local * dh * kBf16; }
-  std::int64_t q_hat_chunk_bytes() const { return c_global * h_local * dh * kBf16; }
-  std::int64_t hidden_chunk_bytes() const { return c_local * d * kBf16; }
-};
-
-LayerShapes shapes_of(const nn::ModelConfig& cfg, int world, std::int64_t s_local,
-                      std::int64_t u) {
-  LayerShapes s{};
-  s.d = cfg.d_model;
-  s.dh = cfg.head_dim();
-  s.h = cfg.n_head;
-  s.hk = cfg.n_kv_head;
-  s.kv_dim = cfg.n_kv_head * cfg.head_dim();
-  s.ffn = cfg.ffn_hidden;
-  s.u = u;
-  s.c_local = s_local / u;
-  s.c_global = s.c_local * world;
-  s.h_local = std::max<std::int64_t>(1, cfg.n_head / world);
-  s.hk_local = std::max<std::int64_t>(1, cfg.n_kv_head / world);
-  s.llama = cfg.arch == nn::Arch::kLlama;
-  return s;
-}
-
-// Builds the FPDT forward chunk pipeline into `ps`. Returns, per chunk, the
-// id of its last compute task. `caching` adds the backward-cache offload
-// traffic (q̂/ô/lse on top of k̂/v̂).
-std::vector<int> build_fpdt_forward(PipelineSim& ps, int comp, int h2d, int d2h, int comm,
-                                    const LayerShapes& sh, const CostModel& cm, bool offload,
-                                    bool double_buffer, bool caching) {
-  std::vector<int> chunk_done;
-  // attn_task[i][j] ids for prefetch-window dependencies.
-  std::vector<std::vector<int>> attn_task(static_cast<std::size_t>(sh.u));
-  std::vector<int> offload_kv(static_cast<std::size_t>(sh.u), -1);
-  for (std::int64_t i = 0; i < sh.u; ++i) {
-    const int proj = ps.add_task(comp, cm.gemm_time(sh.proj_qkv_flops()), {},
-                                 "proj.q" + std::to_string(i));
-    const int a2a = ps.add_task(comm, cm.all2all_time(sh.qkv_chunk_bytes()), {proj},
-                                "a2a." + std::to_string(i));
-    int last_attn = -1;
-    for (std::int64_t j = 0; j <= i; ++j) {
-      std::vector<int> deps = {a2a};
-      if (last_attn >= 0) deps.push_back(last_attn);
-      if (offload && j < i) {
-        // Fetch k̂ⱼ/v̂ⱼ from host; gated by the offload that produced it and
-        // by the double-buffer window (the buffer of chunk j-2 or j-1 must
-        // have retired).
-        std::vector<int> fdeps;
-        if (offload_kv[static_cast<std::size_t>(j)] >= 0) {
-          fdeps.push_back(offload_kv[static_cast<std::size_t>(j)]);
-        }
-        const std::int64_t window = double_buffer ? 2 : 1;
-        if (j >= window) {
-          fdeps.push_back(attn_task[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-              j - window)]);
-        }
-        const int fetch = ps.add_task(h2d, cm.h2d_time(sh.kv_hat_chunk_bytes()),
-                                      std::move(fdeps),
-                                      "fetch.kv" + std::to_string(j));
-        deps.push_back(fetch);
+// One task per op, on the resource of the op's stream (resource ids equal
+// the core::kStream* constants). Compute is priced from op_flops at the
+// attention or the GEMM rate; collectives and transfers by their buffer
+// bytes.
+PipelineSim schedule_sim(const ChunkSchedule& sched, const nn::ModelConfig& cfg,
+                         const CostModel& cm, const ChunkGeometry& g) {
+  PipelineSim ps;
+  for (const char* name : {"compute", "h2d", "d2h", "comm"}) ps.add_resource(name);
+  for (const ScheduleOp& op : sched.ops()) {
+    double seconds = 0.0;
+    switch (op.stream) {
+      case core::kStreamCompute: {
+        const auto flops = static_cast<double>(op_flops(cfg, g, op));
+        const bool attn = op.kind == OpKind::kAttnStep || op.kind == OpKind::kAttnBwdStep;
+        seconds = attn ? cm.attn_time(flops) : cm.gemm_time(flops);
+        break;
       }
-      // The diagonal chunk pair is causally masked to half its work; pairs
-      // below the diagonal are dense.
-      const double causal_frac = (j == i) ? 0.5 : 1.0;
-      const double flops =
-          causal_frac *
-          CostModel::attn_pair_flops(sh.c_global, sh.c_global, sh.h_local, sh.dh);
-      last_attn = ps.add_task(comp, cm.attn_time(flops), std::move(deps),
-                              "attn." + std::to_string(i) + "." + std::to_string(j));
-      attn_task[static_cast<std::size_t>(i)].push_back(last_attn);
+      case core::kStreamH2D:
+        seconds = cm.h2d_time(op.bytes(g));
+        break;
+      case core::kStreamD2H:
+        seconds = cm.d2h_time(op.bytes(g));
+        break;
+      default:
+        seconds = cm.all2all_time(op.bytes(g));
     }
-    if (offload) {
-      std::int64_t bytes = sh.kv_hat_chunk_bytes();
-      if (caching) bytes += 2 * sh.q_hat_chunk_bytes();  // q̂ and ô (+lse, minor)
-      offload_kv[static_cast<std::size_t>(i)] =
-          ps.add_task(d2h, cm.d2h_time(bytes), {a2a, last_attn}, "offload." + std::to_string(i));
-    }
-    const int a2a_back = ps.add_task(comm, cm.all2all_time(sh.q_hat_chunk_bytes()), {last_attn},
-                                     "a2a_back." + std::to_string(i));
-    const int post = ps.add_task(
-        comp, cm.gemm_time(sh.proj_out_flops()) + cm.gemm_time(sh.ffn_flops()), {a2a_back},
-        "post." + std::to_string(i));
-    chunk_done.push_back(post);
+    ps.add_task(op.stream, seconds, std::vector<int>(op.deps.begin(), op.deps.end()),
+                op.label());
   }
-  return chunk_done;
+  return ps;
 }
 
-LayerTiming finish(PipelineSim& fwd, PipelineSim& bwd, int comp, int h2d, int d2h, int comm) {
-  LayerTiming t;
-  t.forward_s = fwd.run();
-  t.backward_s = bwd.run();
-  t.compute_busy_s = fwd.resource_busy(comp) + bwd.resource_busy(comp);
-  t.h2d_busy_s = fwd.resource_busy(h2d) + bwd.resource_busy(h2d);
-  t.d2h_busy_s = fwd.resource_busy(d2h) + bwd.resource_busy(d2h);
-  t.comm_busy_s = fwd.resource_busy(comm) + bwd.resource_busy(comm);
-  return t;
+// The op_cost.h attention formulas are linear in the head count, so
+// whole-sequence shapes are priced for one head and scaled in double (an
+// int64 count over all heads at once can overflow at these lengths).
+kernels::AttnDims one_head(std::int64_t sq, std::int64_t sk, std::int64_t dh) {
+  return kernels::AttnDims{sq, sk, 1, 1, dh, 1};
 }
 
 }  // namespace
 
+LayerGemmFlops layer_gemm_flops(const nn::ModelConfig& cfg, std::int64_t rows) {
+  const std::int64_t d = cfg.d_model;
+  const std::int64_t kv = cfg.n_kv_head * cfg.head_dim();
+  LayerGemmFlops f;
+  f.qkv = kernels::gemm_nt_cost(rows, d, d + 2 * kv).flops;
+  f.out = kernels::gemm_nt_cost(rows, d, d).flops;
+  f.ffn_in = (cfg.arch == nn::Arch::kLlama ? 2 : 1) *
+             kernels::gemm_nt_cost(rows, d, cfg.ffn_hidden).flops;
+  f.ffn_out = kernels::gemm_nt_cost(rows, cfg.ffn_hidden, d).flops;
+  return f;
+}
+
+ChunkGeometry chunk_geometry(const nn::ModelConfig& cfg, int world, std::int64_t s_local,
+                             std::int64_t u) {
+  FPDT_CHECK_EQ(s_local % u, 0) << " chunking divisibility";
+  ChunkGeometry g;
+  g.c_local = s_local / u;
+  g.c_global = g.c_local * world;
+  g.d_model = cfg.d_model;
+  g.heads = std::max<std::int64_t>(1, cfg.n_head / world);
+  g.kv_heads = std::max<std::int64_t>(1, cfg.n_kv_head / world);
+  g.head_dim = cfg.head_dim();
+  return g;
+}
+
+std::int64_t op_flops(const nn::ModelConfig& cfg, const ChunkGeometry& g, const ScheduleOp& op) {
+  const kernels::AttnDims dm{g.c_global, g.c_global, g.heads, g.kv_heads, g.head_dim,
+                             std::max<std::int64_t>(1, g.heads / g.kv_heads)};
+  const std::int64_t q_pos0 = op.i * g.c_global;
+  const std::int64_t k_pos0 = op.j * g.c_global;
+  const LayerGemmFlops gemm = layer_gemm_flops(cfg, g.c_local);
+  switch (op.kind) {
+    case OpKind::kQkvProject:
+      return gemm.qkv;
+    case OpKind::kAttnStep:
+      return kernels::online_attn_step_cost(dm, /*causal=*/true, q_pos0, k_pos0).flops;
+    case OpKind::kOutProjFfn:
+      return gemm.out + gemm.ffn();
+    case OpKind::kFfnBackward:
+      // Recompute of the input side's activations, then input and weight
+      // gradients of every FFN matrix.
+      return gemm.ffn_in + 2 * gemm.ffn();
+    case OpKind::kOutProjBackward:
+      return 2 * gemm.out;
+    case OpKind::kAttnBwdStep:
+      return kernels::online_attn_backward_step_cost(dm, /*causal=*/true, q_pos0, k_pos0).flops;
+    case OpKind::kQkvBackward:
+      return 2 * gemm.qkv;
+    default:
+      return 0;
+  }
+}
+
 LayerTiming fpdt_layer_timing(const nn::ModelConfig& cfg, const CostModel& cm,
                               std::int64_t s_local, std::int64_t u, bool offload,
                               bool double_buffer, bool cache_fwd_outputs) {
-  FPDT_CHECK_EQ(s_local % u, 0) << " chunking divisibility";
-  const LayerShapes sh = shapes_of(cfg, cm.world(), s_local, u);
-
-  // Forward: when caching for backward, the chunk caches (q̂/ô on top of
-  // k̂/v̂) are offloaded from the real forward pass.
-  PipelineSim fwd;
-  const int comp = fwd.add_resource("compute");
-  const int h2d = fwd.add_resource("h2d");
-  const int d2h = fwd.add_resource("d2h");
-  const int comm = fwd.add_resource("comm");
-  build_fpdt_forward(fwd, comp, h2d, d2h, comm, sh, cm, offload, double_buffer,
-                     /*caching=*/cache_fwd_outputs);
-
-  PipelineSim bwd;
-  const int bcomp = bwd.add_resource("compute");
-  const int bh2d = bwd.add_resource("h2d");
-  const int bd2h = bwd.add_resource("d2h");
-  const int bcomm = bwd.add_resource("comm");
-  if (!cache_fwd_outputs) {
-    // Plain activation checkpointing: backward re-runs the chunked forward
-    // first, producing the caches (the fallback when host memory cannot
-    // hold per-layer caches for the whole model).
-    build_fpdt_forward(bwd, bcomp, bh2d, bd2h, bcomm, sh, cm, offload, double_buffer,
-                       /*caching=*/true);
-  }
-
-  // Phase A: per chunk, FFN backward (with internal recompute ≈ 3× fwd
-  // GEMMs), Wo backward, two All2Alls.
-  std::vector<int> phase_a_done(static_cast<std::size_t>(sh.u));
-  for (std::int64_t i = 0; i < sh.u; ++i) {
-    std::vector<int> fdeps;
-    const int fetch_y =
-        offload ? bwd.add_task(bh2d, cm.h2d_time(sh.hidden_chunk_bytes()), {},
-                               "fetch.y" + std::to_string(i))
-                : -1;
-    std::vector<int> deps;
-    if (fetch_y >= 0) deps.push_back(fetch_y);
-    const int ffn_bwd = bwd.add_task(bcomp, cm.gemm_time(3.0 * sh.ffn_flops()), deps,
-                                     "ffn_bwd." + std::to_string(i));
-    const int a2a_o = bwd.add_task(bcomm, cm.all2all_time(sh.q_hat_chunk_bytes()), {ffn_bwd},
-                                   "a2a_o." + std::to_string(i));
-    const int wo_bwd = bwd.add_task(bcomp, cm.gemm_time(2.0 * sh.proj_out_flops()), {a2a_o},
-                                    "wo_bwd." + std::to_string(i));
-    phase_a_done[static_cast<std::size_t>(i)] =
-        bwd.add_task(bcomm, cm.all2all_time(sh.q_hat_chunk_bytes()), {wo_bwd},
-                     "a2a_do." + std::to_string(i));
-  }
-
-  // Phase B: outer KV chunks, inner query chunks; fetches overlap the
-  // 2.5×-forward attention backward kernels; All2All + projection backward
-  // of chunk j overlaps the next outer iteration's prefetches.
-  int prev_attn = -1;
-  for (std::int64_t j = 0; j < sh.u; ++j) {
-    const int fetch_kv = offload
-                             ? bwd.add_task(bh2d, cm.h2d_time(sh.kv_hat_chunk_bytes()), {},
-                                            "bfetch.kv" + std::to_string(j))
-                             : -1;
-    int last = -1;
-    for (std::int64_t i = j; i < sh.u; ++i) {
-      std::vector<int> deps = {phase_a_done[static_cast<std::size_t>(i)]};
-      if (fetch_kv >= 0) deps.push_back(fetch_kv);
-      if (offload) {
-        // q̂ᵢ, dôᵢ and the dq̂ᵢ accumulator stream in from host.
-        const int fetch_q = bwd.add_task(
-            bh2d, cm.h2d_time(3 * sh.q_hat_chunk_bytes()),
-            prev_attn >= 0 ? std::vector<int>{prev_attn} : std::vector<int>{},
-            "bfetch.q" + std::to_string(i));
-        deps.push_back(fetch_q);
-      }
-      if (last >= 0) deps.push_back(last);
-      const double causal_frac = (j == i) ? 0.5 : 1.0;
-      const double flops = 2.5 * causal_frac *
-                           CostModel::attn_pair_flops(sh.c_global, sh.c_global, sh.h_local,
-                                                      sh.dh);
-      last = bwd.add_task(bcomp, cm.attn_time(flops), std::move(deps),
-                          "attn_bwd." + std::to_string(j) + "." + std::to_string(i));
-      prev_attn = last;
-      if (offload && i > j) {
-        bwd.add_task(bd2h, cm.d2h_time(sh.q_hat_chunk_bytes()), {last},
-                     "offload.dq" + std::to_string(i));
-      }
-    }
-    const int a2a_dqkv = bwd.add_task(
-        bcomm, cm.all2all_time(sh.qkv_chunk_bytes()), {last}, "a2a_dqkv." + std::to_string(j));
-    bwd.add_task(bcomp, cm.gemm_time(2.0 * sh.proj_qkv_flops()), {a2a_dqkv},
-                 "proj_bwd." + std::to_string(j));
-  }
-
-  return finish(fwd, bwd, comp, h2d, d2h, comm);
+  const ChunkGeometry g = chunk_geometry(cfg, cm.world(), s_local, u);
+  PipelineSim fwd = schedule_sim(
+      ChunkSchedule::forward(u, offload, double_buffer, cache_fwd_outputs), cfg, cm, g);
+  PipelineSim bwd = schedule_sim(
+      ChunkSchedule::backward(u, offload, double_buffer, /*recompute=*/!cache_fwd_outputs), cfg,
+      cm, g);
+  LayerTiming t;
+  t.forward_s = fwd.run();
+  t.backward_s = bwd.run();
+  auto busy = [&](int r) { return fwd.resource_busy(r) + bwd.resource_busy(r); };
+  t.compute_busy_s = busy(core::kStreamCompute);
+  t.h2d_busy_s = busy(core::kStreamH2D);
+  t.d2h_busy_s = busy(core::kStreamD2H);
+  t.comm_busy_s = busy(core::kStreamComm);
+  return t;
 }
 
 PipelineSim build_fpdt_forward_sim(const nn::ModelConfig& cfg, const CostModel& cm,
                                    std::int64_t s_local, std::int64_t u, bool offload,
                                    bool double_buffer, bool caching) {
-  const LayerShapes sh = shapes_of(cfg, cm.world(), s_local, u);
-  PipelineSim ps;
-  const int comp = ps.add_resource("compute");
-  const int h2d = ps.add_resource("h2d");
-  const int d2h = ps.add_resource("d2h");
-  const int comm = ps.add_resource("comm");
-  build_fpdt_forward(ps, comp, h2d, d2h, comm, sh, cm, offload, double_buffer, caching);
+  PipelineSim ps = schedule_sim(ChunkSchedule::forward(u, offload, double_buffer, caching), cfg,
+                                cm, chunk_geometry(cfg, cm.world(), s_local, u));
   ps.run();
   return ps;
-}
-
-std::string fpdt_forward_trace(const nn::ModelConfig& cfg, const CostModel& cm,
-                               std::int64_t s_local, std::int64_t u, bool offload,
-                               bool double_buffer, int max_tasks) {
-  return build_fpdt_forward_sim(cfg, cm, s_local, u, offload, double_buffer).trace(max_tasks);
 }
 
 LayerTiming ulysses_layer_timing(const nn::ModelConfig& cfg, const CostModel& cm,
@@ -253,18 +152,18 @@ LayerTiming megatron_layer_timing(const nn::ModelConfig& cfg, const CostModel& c
                                   std::int64_t s_local, bool seq_parallel,
                                   bool activation_checkpoint) {
   const int P = cm.world();
-  const std::int64_t s = s_local * (seq_parallel ? P : 1);
-  const LayerShapes sh = shapes_of(cfg, P, s, 1);  // full sequence per rank
+  const std::int64_t s = s_local * (seq_parallel ? P : 1);  // full sequence per rank
 
   // TP GEMMs are 1/P of the full layer; attention runs h/P heads over the
-  // full sequence. Collectives are exposed (not overlapped) — the property
-  // that hurts Megatron-SP across nodes (§5.2).
-  const double gemm_fwd =
-      (sh.proj_qkv_flops() + sh.proj_out_flops() + sh.ffn_flops()) / P;
+  // full causal sequence. Collectives are exposed (not overlapped) — the
+  // property that hurts Megatron-SP across nodes (§5.2).
+  const double gemm_fwd = static_cast<double>(layer_gemm_flops(cfg, s).total()) / P;
+  const kernels::AttnDims head = one_head(s, s, cfg.head_dim());
+  const auto heads = static_cast<double>(std::max<std::int64_t>(1, cfg.n_head / P));
   const double attn_fwd =
-      CostModel::attn_pair_flops(s, s, std::max<std::int64_t>(1, cfg.n_head / P),
-                                 cfg.head_dim()) /
-      2.0;  // causal halves the realised pair work
+      heads * static_cast<double>(kernels::attn_forward_cost(head, true, 0, 0).flops);
+  const double attn_bwd = heads * static_cast<double>(
+                                      kernels::online_attn_backward_step_cost(head, true, 0, 0).flops);
   const std::int64_t act_bytes = s * cfg.d_model * kBf16;
 
   double comm_fwd = 0.0;
@@ -276,10 +175,10 @@ LayerTiming megatron_layer_timing(const nn::ModelConfig& cfg, const CostModel& c
   LayerTiming t;
   t.forward_s = cm.gemm_time(gemm_fwd) + cm.attn_time(attn_fwd) + comm_fwd;
   const double recompute = activation_checkpoint ? t.forward_s : 0.0;
-  t.backward_s = recompute + cm.gemm_time(2.0 * gemm_fwd) + cm.attn_time(2.5 * attn_fwd) +
+  t.backward_s = recompute + cm.gemm_time(2.0 * gemm_fwd) + cm.attn_time(attn_bwd) +
                  comm_fwd;  // mirrored collectives
   t.compute_busy_s = cm.gemm_time(gemm_fwd * (activation_checkpoint ? 4.0 : 3.0)) +
-                     cm.attn_time(attn_fwd * (activation_checkpoint ? 4.5 : 3.5));
+                     cm.attn_time(attn_fwd * (activation_checkpoint ? 2.0 : 1.0) + attn_bwd);
   t.comm_busy_s = comm_fwd * (activation_checkpoint ? 3.0 : 2.0);
   return t;
 }
@@ -287,21 +186,22 @@ LayerTiming megatron_layer_timing(const nn::ModelConfig& cfg, const CostModel& c
 LayerTiming ring_layer_timing(const nn::ModelConfig& cfg, const CostModel& cm,
                               std::int64_t s_local) {
   const int P = cm.world();
-  const LayerShapes sh = shapes_of(cfg, 1, s_local, 1);  // full heads per rank
   // P rounds; each round the critical rank computes a full (s_local,
-  // s_local) block (causal imbalance: the last rank is never masked), and
-  // the KV block transfer overlaps compute.
-  const double block_flops =
-      CostModel::attn_pair_flops(s_local, s_local, cfg.n_head, cfg.head_dim());
-  const std::int64_t kv_block_bytes = 2 * s_local * sh.kv_dim * kBf16;
-  const double round = std::max(cm.attn_time(block_flops), cm.p2p_time(kv_block_bytes));
-  const double gemms =
-      cm.gemm_time(sh.proj_qkv_flops() + sh.proj_out_flops() + sh.ffn_flops());
+  // s_local) block over all heads (causal imbalance: the last rank is never
+  // masked), and the KV block transfer overlaps compute.
+  const kernels::AttnDims block = one_head(s_local, s_local, cfg.head_dim());
+  const auto heads = static_cast<double>(cfg.n_head);
+  const double fwd_flops =
+      heads * static_cast<double>(kernels::online_attn_step_cost(block, false, 0, 0).flops);
+  const double bwd_flops = heads * static_cast<double>(
+                                       kernels::online_attn_backward_step_cost(block, false, 0, 0).flops);
+  const std::int64_t kv_block_bytes = 2 * s_local * cfg.n_kv_head * cfg.head_dim() * kBf16;
+  const auto gemm = static_cast<double>(layer_gemm_flops(cfg, s_local).total());
   LayerTiming t;
-  t.forward_s = gemms + P * round;
-  t.backward_s = t.forward_s + cm.gemm_time(2.0 * (sh.proj_qkv_flops() + sh.proj_out_flops() +
-                                                   sh.ffn_flops())) +
-                 P * std::max(cm.attn_time(2.5 * block_flops), cm.p2p_time(kv_block_bytes));
+  t.forward_s =
+      cm.gemm_time(gemm) + P * std::max(cm.attn_time(fwd_flops), cm.p2p_time(kv_block_bytes));
+  t.backward_s = t.forward_s + cm.gemm_time(2.0 * gemm) +
+                 P * std::max(cm.attn_time(bwd_flops), cm.p2p_time(kv_block_bytes));
   t.compute_busy_s = t.forward_s + t.backward_s;
   return t;
 }

@@ -4,8 +4,10 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "kernels/op_cost.h"
 #include "sim/cost_model.h"
 #include "sim/pipeline_sim.h"
+#include "sim/timeline.h"
 
 namespace fpdt::topo {
 
@@ -24,15 +26,25 @@ TopoEval model_step(const Topology& topo, const sim::HardwareSpec& hw,
 
   sim::CostModel cm(hw, P);
 
-  // Per-rank, per-layer compute (FLOPs). The attention term is the causal
-  // online-softmax total over the whole sequence with this rank's head
-  // share — identical under both routings, because the 2D grid re-routes
-  // the traffic, not the math.
-  const double proj_flops = 8.0 * static_cast<double>(s_local) * d * d;
-  const double ffn_flops =
-      4.0 * static_cast<double>(s_local) * d * static_cast<double>(m.ffn_hidden);
-  const double attn_flops =
-      2.0 * static_cast<double>(s_global) * static_cast<double>(s_global) * d / P;
+  // Per-rank, per-chunk compute from the kernels' FLOP formulas
+  // (kernels/op_cost.h): the layer's GEMMs over the c_local chunk rows, and
+  // chunk q's causal online-softmax steps against kv chunks 0..q over the
+  // gathered c_global rows. Attention is priced per head and scaled by this
+  // rank's head share n_head / P, which may be fractional at 1024 ranks —
+  // identical under both routings, because the 2D grid re-routes the
+  // traffic, not the math.
+  const std::int64_t c_global = c_local * P;
+  const sim::LayerGemmFlops gemm = sim::layer_gemm_flops(m, c_local);
+  const kernels::AttnDims head{c_global, c_global, 1, 1, m.head_dim(), 1};
+  const double head_share = static_cast<double>(m.n_head) / P;
+  auto attn_flops = [&](std::int64_t q) {
+    double flops = 0.0;
+    for (std::int64_t j = 0; j <= q; ++j) {
+      flops += static_cast<double>(
+          kernels::online_attn_step_cost(head, /*causal=*/true, q * c_global, j * c_global).flops);
+    }
+    return flops * head_share;
+  };
 
   // Per-chunk All2All payload per rank (QKV out + attention output return),
   // logical BF16 bytes — what the executed ProcessGroup charges per rank.
@@ -45,11 +57,9 @@ TopoEval model_step(const Topology& topo, const sim::HardwareSpec& hw,
 
   for (std::int64_t q = 0; q < u; ++q) {
     const std::string qs = std::to_string(q);
-    const int proj = sim.add_task(rc, cm.gemm_time(proj_flops / static_cast<double>(u)), {},
-                                  "proj." + qs);
-    // Causal chunk schedule: chunk q attends to (q + 1/2) chunks on average.
-    const double attn_q =
-        attn_flops * static_cast<double>(2 * q + 1) / static_cast<double>(u * u);
+    const int proj =
+        sim.add_task(rc, cm.gemm_time(static_cast<double>(gemm.qkv + gemm.out)), {}, "proj." + qs);
+    const double attn_q = attn_flops(q);
     std::int64_t attn_tail = -1;
     if (!hierarchical) {
       // Flat Ulysses re-shard: (R-1)/P of the payload stays on-node, the
@@ -92,7 +102,7 @@ TopoEval model_step(const Topology& topo, const sim::HardwareSpec& hw,
       }
       attn_tail = prev;
     }
-    sim.add_task(rc, cm.gemm_time(ffn_flops / static_cast<double>(u)),
+    sim.add_task(rc, cm.gemm_time(static_cast<double>(gemm.ffn())),
                  {static_cast<int>(attn_tail)}, "ffn." + qs);
   }
 

@@ -23,6 +23,7 @@
 #include "common/thread_pool.h"
 #include "core/fpdt_env.h"
 #include "kernels/backend.h"
+#include "kernels/op_cost.h"
 #include "nn/attention.h"
 #include "obs/workmeter.h"
 #include "tensor/tensor.h"
@@ -917,6 +918,55 @@ TEST(WorkmeterBackendTest, ScalarAndSimdChargeBitIdenticalWork) {
     EXPECT_EQ(scalar.kind[k].flops, simd.kind[k].flops) << kind;
     EXPECT_EQ(scalar.kind[k].bytes, simd.kind[k].bytes) << kind;
     EXPECT_EQ(scalar.calls[k], simd.calls[k]) << kind;
+  }
+}
+
+// ---- analytic cost formulas -------------------------------------------------
+
+// The per-row definition attn_unmasked_pairs() closes: the sum of every
+// query row's causal_bound().
+std::int64_t pairs_by_rows(const kernels::AttnDims& dm, bool causal, std::int64_t q_pos0,
+                           std::int64_t k_pos0) {
+  std::int64_t pairs = 0;
+  for (std::int64_t i = 0; i < dm.sq; ++i) {
+    pairs += kernels::causal_bound(causal, q_pos0 + i, k_pos0, dm.sk);
+  }
+  return pairs;
+}
+
+TEST(OpCostTest, UnmaskedPairsClosedFormMatchesRowLoop) {
+  auto expect_same = [](std::int64_t sq, std::int64_t sk, bool causal, std::int64_t q_pos0,
+                        std::int64_t k_pos0) {
+    kernels::AttnDims dm;
+    dm.sq = sq;
+    dm.sk = sk;
+    EXPECT_EQ(kernels::attn_unmasked_pairs(dm, causal, q_pos0, k_pos0),
+              pairs_by_rows(dm, causal, q_pos0, k_pos0))
+        << "sq=" << sq << " sk=" << sk << " causal=" << causal << " q_pos0=" << q_pos0
+        << " k_pos0=" << k_pos0;
+  };
+  // Edge shapes: the chunk pairs FPDT schedules (diagonal, below, above the
+  // diagonal), a query chunk entirely before its keys (bound 0 on every
+  // row), bounds past sk, single-row decode, empty key chunks, non-causal.
+  for (bool causal : {true, false}) {
+    expect_same(64, 64, causal, 0, 0);
+    expect_same(64, 64, causal, 128, 64);
+    expect_same(64, 64, causal, 0, 64);
+    expect_same(16, 64, causal, 0, 1000);
+    expect_same(16, 8, causal, 1000, 0);
+    expect_same(1, 4096, causal, 4095, 0);
+    expect_same(1, 4096, causal, 17, 0);
+    expect_same(1, 1, causal, 0, 0);
+    expect_same(32, 0, causal, 5, 0);
+    expect_same(0, 32, causal, 5, 0);
+    expect_same(7, 5, causal, 2, 3);
+  }
+  Rng rng(2026);
+  for (int t = 0; t < 2000; ++t) {
+    const auto draw = [&](std::int64_t n) {
+      return static_cast<std::int64_t>(rng.next_uniform() * static_cast<double>(n));
+    };
+    expect_same(1 + draw(300), draw(300), t % 5 != 0, draw(600), draw(600));
   }
 }
 

@@ -370,6 +370,31 @@ void expect_traced_step_bit_identical(parallel::Strategy strategy,
   }
 }
 
+TEST(TracerTest, CollectiveInstantsSitAtTheirSpanStart) {
+  // A collective's trace instant is emitted from the compute-stream span
+  // that prices it, so it lands where that span starts on the rank's lane —
+  // not at the rank's clock when the group ran the collective (Ulysses
+  // drains its compute spans at step end, which stamped every instant 0).
+  TracerWindow window;
+  const nn::ModelConfig cfg = nn::tiny_gpt(32, 1, 4, 64);
+  const int world = 2;
+  data::SyntheticCorpus corpus(cfg.vocab, 11);
+  nn::Model model(cfg, 42);
+  const auto trainer =
+      parallel::make_trainer(parallel::Strategy::kUlysses, model, world, core::FpdtConfig{});
+  trainer->train_step_grads(corpus.sample(world * 16 + 1));
+  trainer->env().synchronize_streams();
+  std::vector<double> instants, spans;
+  for (const obs::TraceEvent& ev : obs::Tracer::instance().events()) {
+    if (ev.rank != 0 || ev.name.rfind("a2a ", 0) != 0) continue;
+    (ev.kind == obs::TraceEvent::Kind::kInstant ? instants : spans).push_back(ev.ts_s);
+  }
+  ASSERT_FALSE(spans.empty());
+  ASSERT_EQ(instants.size(), spans.size());
+  for (std::size_t k = 0; k < spans.size(); ++k) EXPECT_EQ(instants[k], spans[k]) << "a2a #" << k;
+  EXPECT_GT(spans.back(), 0.0);
+}
+
 TEST(ProfilerTest, ProfiledFpdtStepBitIdenticalToUnprofiled) {
   for (const parallel::Strategy s : parallel::kStrategies) {
     SCOPED_TRACE(parallel::strategy_name(s));

@@ -88,6 +88,47 @@ TEST(ScheduleTest, DebugStringsAndPrinting) {
   EXPECT_NE(truncated.find("more)"), std::string::npos);
 }
 
+TEST(ScheduleTest, FetchesWaitForTheirBufferSlotAndOffload) {
+  // A fetch waits for the op that frees its buffer slot — the attention
+  // step `window` chunks back in the forward — and for the offload that
+  // wrote its chunk to the host.
+  for (const bool dbuf : {false, true}) {
+    const ChunkSchedule fwd = ChunkSchedule::forward(4, true, dbuf);
+    const auto& ops = fwd.ops();
+    const std::int64_t w = fwd.window();
+    for (const ScheduleOp& op : ops) {
+      if (op.kind != OpKind::kFetchKv) continue;
+      bool slot = op.j < w, offload = false;
+      for (std::size_t d : op.deps) {
+        const ScheduleOp& dep = ops[d];
+        slot |= dep.kind == OpKind::kAttnStep && dep.i == op.i && dep.j == op.j - w;
+        offload |= dep.kind == OpKind::kOffloadKv && dep.i == op.j;
+      }
+      EXPECT_TRUE(slot && offload) << op.label() << " dbuf=" << dbuf;
+    }
+  }
+}
+
+TEST(ScheduleTest, RecomputeBackwardIsForwardThenBackward) {
+  const ChunkSchedule fwd = ChunkSchedule::forward(3, true, true);
+  const ChunkSchedule bwd = ChunkSchedule::backward(3, true, true);
+  const ChunkSchedule both = ChunkSchedule::backward(3, true, true, /*recompute=*/true);
+  ASSERT_EQ(both.ops().size(), fwd.ops().size() + bwd.ops().size());
+  for (std::size_t k = 0; k < both.ops().size(); ++k) {
+    const ScheduleOp& want =
+        k < fwd.ops().size() ? fwd.ops()[k] : bwd.ops()[k - fwd.ops().size()];
+    EXPECT_EQ(both.ops()[k].label(), want.label()) << k;
+  }
+  EXPECT_NO_THROW(both.check_legal());
+  // The backward's y/ô fetch now waits for the forward's offload of y.
+  for (const ScheduleOp& op : both.ops()) {
+    if (op.kind == OpKind::kFetchYO && op.i == 0) {
+      ASSERT_FALSE(op.deps.empty());
+      EXPECT_EQ(both.ops()[op.deps.back()].kind, OpKind::kOffloadY);
+    }
+  }
+}
+
 // ---- Adversarial: corrupted schedules must be rejected. --------------------
 
 ChunkSchedule corrupt(ChunkSchedule base, auto mutate) {
@@ -153,6 +194,12 @@ TEST(ScheduleTest, RejectsContributionAfterFinalization) {
                                 }
                               });
   EXPECT_THROW(bwd.check_legal(), FpdtError);
+}
+
+TEST(ScheduleTest, RejectsDependencyOnALaterOp) {
+  ChunkSchedule fwd = corrupt(ChunkSchedule::forward(2, true, true),
+                              [](std::vector<ScheduleOp>& ops) { ops[0].deps.push_back(1); });
+  EXPECT_THROW(fwd.check_legal(), FpdtError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "sim/hardware.h"
 #include "sim/pipeline_sim.h"
 #include "common/check.h"
+#include "kernels/op_cost.h"
 #include "sim/timeline.h"
 
 namespace fpdt {
@@ -17,6 +18,13 @@ using sim::CostModel;
 using sim::FetchStrategy;
 using sim::HardwareSpec;
 using sim::PipelineSim;
+
+// FLOPs of one dense (unmasked) chunk pair over a quarter of the heads.
+double dense_pair_flops(const nn::ModelConfig& cfg, std::int64_t c) {
+  const kernels::AttnDims dm{c, c, cfg.n_head / 4, cfg.n_kv_head / 4, cfg.head_dim(),
+                             cfg.n_head / cfg.n_kv_head};
+  return static_cast<double>(kernels::online_attn_step_cost(dm, false, 0, 0).flops);
+}
 
 TEST(PipelineSimTest, SerializesTasksOnOneResource) {
   PipelineSim ps;
@@ -116,8 +124,7 @@ TEST(CostModelTest, FetchStrategyBehaviour) {
             cm.fetch_time(small, FetchStrategy::kPerGpuExclusive));
   const std::int64_t chunk = 128 * 1024;  // tokens, past the crossover
   const std::int64_t bytes = 2 * chunk * cfg.d_model / 4 * 2;
-  const double attn =
-      cm.attn_time(CostModel::attn_pair_flops(chunk, chunk, cfg.n_head / 4, cfg.head_dim()));
+  const double attn = cm.attn_time(dense_pair_flops(cfg, chunk));
   EXPECT_GT(attn, cm.fetch_time(bytes, FetchStrategy::kPerGpu));
   EXPECT_GT(attn, cm.fetch_time(bytes, FetchStrategy::kOneGpuScatter));
 }
@@ -128,7 +135,7 @@ TEST(CostModelTest, AttentionOvertakesFetchAtLargeChunks) {
   const nn::ModelConfig cfg = nn::gpt_2p7b();
   CostModel cm(sim::a100_80g_node(), 4);
   auto attn_t = [&](std::int64_t c) {
-    return cm.attn_time(CostModel::attn_pair_flops(c, c, cfg.n_head / 4, cfg.head_dim()));
+    return cm.attn_time(dense_pair_flops(cfg, c));
   };
   auto fetch_t = [&](std::int64_t c) {
     return cm.h2d_time(2 * c * cfg.d_model / 4 * 2);
