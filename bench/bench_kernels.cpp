@@ -92,9 +92,10 @@ BENCHMARK(BM_OnlineAttnStepBackend)->Args({512, 0})->Args({512, 1});
 
 // One FPDT chunk pair at the train-longctx shape: 512-token chunks of
 // [512, 2, 16] q/k/v, causal, chunk i's queries against chunk j's keys.
-// diag = 0 is j < i (every key visible), diag = 1 is j = i. Rank bodies call
-// these kernels from inside parallel_for_ranks, where the simd backend does
-// not fork, so the benchmark runs them on one worker too.
+// diag = 0 is j < i (every key visible), diag = 1 is j = i. The two kernel
+// benches below time the kernels alone, on one worker, so no fork of the
+// simd backend shows in them; BM_FpdtRankAttnD16 times them as rank bodies
+// issue them.
 struct D16ChunkPair {
   static constexpr std::int64_t kChunk = 512, kHeads = 2, kDim = 16;
   kernels::AttnDims dm{kChunk, kChunk, kHeads, kHeads, kDim, 1};
@@ -120,16 +121,16 @@ struct D16ChunkPair {
   }
 };
 
-struct OneWorker {
+struct ScopedWorkers {
   const int saved = parallel_workers();
-  OneWorker() { set_parallel_workers(1); }
-  ~OneWorker() { set_parallel_workers(saved); }
+  explicit ScopedWorkers(int workers) { set_parallel_workers(workers); }
+  ~ScopedWorkers() { set_parallel_workers(saved); }
 };
 
 void BM_OnlineAttnStepD16(benchmark::State& state) {
   const kernels::Backend& be = kernels::backend(backend_of(state.range(0)));
   const D16ChunkPair in(state.range(1) != 0);
-  const OneWorker one;
+  const ScopedWorkers one(1);
   Tensor acc = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
   Tensor row_max = Tensor::full({in.kChunk, in.kHeads}, 0.0f);
   Tensor row_sum = Tensor::full({in.kChunk, in.kHeads}, 0.0f);
@@ -157,7 +158,7 @@ BENCHMARK(BM_OnlineAttnStepD16)
 void BM_OnlineAttnBackwardD16(benchmark::State& state) {
   const kernels::Backend& be = kernels::backend(backend_of(state.range(0)));
   const D16ChunkPair in(state.range(1) != 0);
-  const OneWorker one;
+  const ScopedWorkers one(1);
   Tensor dq = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
   Tensor dk = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
   Tensor dv = Tensor::full({in.kChunk, in.kHeads, in.kDim}, 0.0f);
@@ -176,6 +177,43 @@ BENCHMARK(BM_OnlineAttnBackwardD16)
     ->Args({1, 0})
     ->Args({0, 1})
     ->Args({1, 1});
+
+// train-longctx's attention as its rank bodies run it: two ranks at four
+// workers, each folding the chunk pair into a fresh state (two forward
+// steps) and running the pair's backward step. World 2 leaves two workers
+// idle, which the ranks' KV-head-group tiles take. Real time: the work
+// spreads over threads.
+void BM_FpdtRankAttnD16(benchmark::State& state) {
+  const kernels::Backend& be = kernels::backend("simd");
+  const D16ChunkPair in(state.range(0) != 0);
+  const ScopedWorkers four(4);
+  using Pair = D16ChunkPair;
+  struct RankState {
+    static Tensor rows() { return Tensor::full({Pair::kChunk, Pair::kHeads, Pair::kDim}, 0.0f); }
+    static Tensor stats() { return Tensor::full({Pair::kChunk, Pair::kHeads}, 0.0f); }
+    Tensor acc = rows(), row_max = stats(), row_sum = stats();
+    Tensor dq = rows(), dk = rows(), dv = rows();
+  };
+  std::vector<RankState> ranks(2);
+  for (auto _ : state) {
+    parallel_for_ranks(2, [&](int r) {
+      RankState& st = ranks[static_cast<std::size_t>(r)];
+      st.row_max.fill_(-std::numeric_limits<float>::infinity());
+      st.row_sum.fill_(0.0f);
+      st.acc.fill_(0.0f);
+      for (int s = 0; s < 2; ++s) {
+        be.online_attn_step(st.acc.data(), st.row_max.data(), st.row_sum.data(), in.q.data(),
+                            in.k.data(), in.v.data(), in.dm, true, in.q_pos0, 0);
+      }
+      be.online_attn_backward_step(in.q.data(), in.k.data(), in.v.data(), in.dout.data(),
+                                   in.lse.data(), in.D.data(), in.dm, true, in.q_pos0, 0,
+                                   st.dq.data(), st.dk.data(), st.dv.data());
+      benchmark::DoNotOptimize(st.dq.data());
+    });
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FpdtRankAttnD16)->ArgName("diag")->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_ReferenceAttention(benchmark::State& state) {
   const std::int64_t s = state.range(0);

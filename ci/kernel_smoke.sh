@@ -26,7 +26,13 @@
 #     BM_ParallelForRanksForkJoin, empty body, n = 2 and 4) is timed and
 #     reported in microseconds; it is not gated.
 #
-# The measured ratios and fork-join times are recorded in the "kernel_smoke"
+#   - the same d=16 chunk pair as two FPDT rank bodies issue it
+#     (bench_kernels' BM_FpdtRankAttnD16: two ranks at four workers, each
+#     two forward steps and one backward step, so the simd backend's
+#     KV-head-group tiles take the idle workers) is timed and reported in
+#     real milliseconds per off-diagonal and diagonal pair; it is not gated.
+#
+# The measured ratios and times are recorded in the "kernel_smoke"
 # section of bench_snapshot.txt so perf history travels with the repo.
 #
 #   ci/kernel_smoke.sh [build_dir]   # default: build
@@ -155,6 +161,23 @@ print(f"kernel_smoke: parallel_for_ranks fork-join n=2 {n2:.1f} us, "
 ')"
 echo "$fork_line"
 
+# --- d=16 chunk attention as two rank bodies issue it (reported only) --------
+rank_attn_line="$("$BENCH_KERNELS" --benchmark_filter='^BM_FpdtRankAttnD16/' \
+    --benchmark_format=json 2>/dev/null | python3 -c '
+import json, sys
+
+ms = {}
+for b in json.load(sys.stdin)["benchmarks"]:
+    diag = b["name"].split("/")[1]
+    scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0}[b["time_unit"]]
+    ms[diag] = b["real_time"] * scale
+assert set(ms) == {"diag:0", "diag:1"}, f"rank attention rows missing: {sorted(ms)}"
+off, diag = ms["diag:0"], ms["diag:1"]
+print(f"kernel_smoke: d=16 rank-body attention, 2 ranks at 4 workers, "
+      f"off-diagonal {off:.2f} ms, diagonal {diag:.2f} ms (real time, reported only)")
+')"
+echo "$rank_attn_line"
+
 # --- record the measured ratio in bench_snapshot.txt ------------------------
 snapshot=bench_snapshot.txt
 marker="===== kernel_smoke ====="
@@ -174,6 +197,7 @@ fi
   echo "$ratio_line"
   echo "$attn_line"
   echo "$fork_line"
+  echo "$rank_attn_line"
 } >> "$tmp"
 mv "$tmp" "$snapshot"
 echo "kernel_smoke: ratios recorded in $snapshot"

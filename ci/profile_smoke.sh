@@ -13,7 +13,11 @@
 #     byte-identical trace.json documents;
 #   - every strategy (fpdt, ulysses, megatron-sp, ring) reports the same
 #     virtual step traced and with --no-trace, and each step covers its
-#     compute, not just the optimizer span.
+#     compute, not just the optimizer span;
+#   - the FPDT executor on the simd backend at 512-row attention chunks,
+#     where rank bodies run chunk attention as KV-head-group tiles on idle
+#     workers, writes byte-identical trace.json documents in two runs and
+#     the same virtual step traced and untraced.
 #
 #   ci/profile_smoke.sh [build_dir]   # default: build
 set -euo pipefail
@@ -115,4 +119,25 @@ for strategy in ("fpdt", "ulysses", "megatron-sp", "ring"):
         for phase in ("qkv", "attention", "ffn", "embed", "loss"):
             assert untraced["phase_s"].get(phase, 0) > 0, f"{strategy}: no {phase} time on the clock"
 print("profile_smoke: every strategy's virtual step is trace-invariant and covers its compute")
+EOF
+
+for run in 1 2 untraced; do
+  out="$workdir/fpdt-simd-$run"
+  mkdir -p "$out"
+  flags=()
+  [[ "$run" == untraced ]] && flags=(--no-trace)
+  (cd "$out" && "$FPDT" profile --backend simd --gpus 2 --chunks 4 --chunk-tokens 256 \
+    --steps 1 "${flags[@]}" > /dev/null)
+done
+cmp "$workdir/fpdt-simd-1/trace.json" "$workdir/fpdt-simd-2/trace.json"
+python3 - "$workdir" <<'EOF'
+import json, sys
+
+workdir = sys.argv[1]
+traced, untraced = (json.load(open(f"{workdir}/fpdt-simd-{run}/metrics.json"))["step_stats"]
+                    for run in ("1", "untraced"))
+for t, u in zip(traced, untraced):
+    assert t["virtual_step_s"] == u["virtual_step_s"], \
+        f"fpdt/simd: traced step {t['virtual_step_s']}s != untraced {u['virtual_step_s']}s"
+print("profile_smoke: fpdt on simd writes byte-identical traces and a trace-invariant virtual step")
 EOF

@@ -22,18 +22,22 @@ run_lane() {
   # stream/prefetch engine, the thread pool, the chunked executors, the
   # baseline executors and the one training loop every strategy runs
   # through, and the tracer/metrics layer that all of them publish into
-  # concurrently.
+  # concurrently. The thread pool's tile forks (ThreadPoolTest.*Tile*) run
+  # on helpers shared by concurrent callers.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-    -R 'Stream|Prefetch|ThreadPool|MemoryPool|ChunkStore|Fpdt|Baseline|MegatronSp|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
+    -R 'Stream|Prefetch|ThreadPool|Tile|MemoryPool|ChunkStore|Fpdt|Baseline|MegatronSp|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
   # Kernel-backend matrix: the math-kernel suites must hold under both the
   # scalar reference and the simd backend. The simd lane is the one that can
   # race — its GEMM/attention forks rows across the thread pool — so TSan
   # over these suites with FPDT_KERNEL_BACKEND=simd is the real target;
-  # scalar pins the reference semantics under the same sanitizer.
+  # scalar pins the reference semantics under the same sanitizer. Online
+  # attention also splits into KV-head-group tiles on packed per-thread
+  # scratch (SimdDifferentialTest.KvHeadGroupTilesMatchWholeCall runs them
+  # from two concurrent rank bodies).
   for kb in scalar simd; do
     echo "--- kernel lane: FPDT_KERNEL_BACKEND=$kb ---"
     FPDT_KERNEL_BACKEND="$kb" ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-      -R 'Kernel|Gemm|Simd|ScalarBitIdentity|ActiveBackend|Attention|Tensor|Softmax|Norm|Activation'
+      -R 'Kernel|Gemm|Simd|KvHeadGroup|ScalarBitIdentity|ActiveBackend|Attention|Tensor|Softmax|Norm|Activation'
     # The elastic churn sweep re-runs full training twice per case (run +
     # bitwise twin), so its math goes through whichever backend is active —
     # the reshard/resume contract must hold under both.

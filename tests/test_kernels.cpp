@@ -16,6 +16,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -810,6 +811,75 @@ TEST(SimdGoldenTest, RowSplitsMatchWholeCall) {
       same(whole.dv, split.dv, "dv");
     }
   }
+}
+
+// Two online forward steps (k/v, then k2/v2) and one backward step on the
+// simd backend; returns the attention FLOPs the calls charged.
+std::int64_t run_online_attn(const AttnInputs& in, const AttnMask& mk,
+                             const std::vector<float>& lse, const std::vector<float>& D,
+                             AttnOutputs& o) {
+  const kernels::Backend& simd = kernels::backend("simd");
+  obs::WorkSink sink;
+  obs::WorkSink* const prev = std::exchange(obs::t_work_sink, &sink);
+  for (const auto& [k, v] : {std::pair{&in.k, &in.v}, std::pair{&in.k2, &in.v2}}) {
+    simd.online_attn_step(o.acc.data(), o.row_max.data(), o.row_sum.data(), in.q.data(),
+                          k->data(), v->data(), in.dm, mk.causal, mk.q_pos0, mk.k_pos0);
+  }
+  simd.online_attn_backward_step(in.q.data(), in.k.data(), in.v.data(), in.dout.data(),
+                                 lse.data(), D.data(), in.dm, mk.causal, mk.q_pos0, mk.k_pos0,
+                                 o.dq.data(), o.dk.data(), o.dv.data());
+  obs::t_work_sink = prev;
+  return sink.kind[static_cast<int>(obs::OpKind::kAttention)].flops;
+}
+
+TEST(SimdDifferentialTest, KvHeadGroupTilesMatchWholeCall) {
+  // Inside a rank body with idle helpers, the simd backend splits online
+  // attention into KV-head groups, each on packed copies of its heads. A
+  // group runs its heads exactly as the whole call does, so two rank bodies
+  // at 4 workers must give bitwise what one worker (no split) gives, and
+  // charge the same FLOPs. sq = 130 leaves a 2-row tail after the 4-row
+  // tiles; the last mask puts the KV chunk wholly in the causal future.
+  constexpr AttnMask kMasks[] = {
+      {false, 0, 0}, {true, 0, 0}, {true, 13, 0}, {true, 0, 3}, {true, 0, 400}};
+  const std::pair<std::int64_t, std::int64_t> heads[] = {{2, 2}, {4, 2}, {4, 4}, {8, 2}};
+  const int saved = parallel_workers();
+  std::uint64_t seed = 900;
+  for (const std::int64_t d : {8, 12, 16, 32}) {
+    for (const auto& [h, hk] : heads) {
+      for (const AttnMask& mk : kMasks) {
+        SCOPED_TRACE(::testing::Message() << "d=" << d << " h=" << h << " hk=" << hk
+                                          << " causal=" << mk.causal << " q_pos0=" << mk.q_pos0
+                                          << " k_pos0=" << mk.k_pos0);
+        const kernels::AttnDims dm{130, 77, h, hk, d, h / hk};
+        const AttnInputs in = golden_inputs(dm, ++seed);
+        const std::vector<float> lse = hash_floats(dm.sq * dm.h, 3 * seed);
+        const std::vector<float> D = hash_floats(dm.sq * dm.h, 3 * seed + 1);
+        set_parallel_workers(1);
+        AttnOutputs whole = fresh_outputs(dm, seed);
+        const std::int64_t whole_flops = run_online_attn(in, mk, lse, D, whole);
+        set_parallel_workers(4);
+        AttnOutputs tiled[2] = {fresh_outputs(dm, seed), fresh_outputs(dm, seed)};
+        std::int64_t tiled_flops[2] = {0, 0};
+        parallel_for_ranks(2, [&](int r) {
+          tiled_flops[r] = run_online_attn(in, mk, lse, D, tiled[r]);
+        });
+        for (int r = 0; r < 2; ++r) {
+          const auto same = [&](const std::vector<float>& a, const std::vector<float>& b) {
+            return a.size() == b.size() &&
+                   std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+          };
+          EXPECT_TRUE(same(whole.acc, tiled[r].acc)) << "acc, rank " << r;
+          EXPECT_TRUE(same(whole.row_max, tiled[r].row_max)) << "row_max, rank " << r;
+          EXPECT_TRUE(same(whole.row_sum, tiled[r].row_sum)) << "row_sum, rank " << r;
+          EXPECT_TRUE(same(whole.dq, tiled[r].dq)) << "dq, rank " << r;
+          EXPECT_TRUE(same(whole.dk, tiled[r].dk)) << "dk, rank " << r;
+          EXPECT_TRUE(same(whole.dv, tiled[r].dv)) << "dv, rank " << r;
+          EXPECT_EQ(whole_flops, tiled_flops[r]) << "rank " << r;
+        }
+      }
+    }
+  }
+  set_parallel_workers(saved);
 }
 
 // ---- active-backend property checks (run under both sanitize lanes) -------

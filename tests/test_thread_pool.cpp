@@ -166,6 +166,152 @@ TEST(ThreadPoolTest, ConcurrentCallersEachSeeEveryIndexOnce) {
   EXPECT_EQ(bad_b.load(), 0);
 }
 
+// ---- tile forks ---------------------------------------------------------------
+
+struct ScopedWorkers {
+  const int saved = parallel_workers();
+  explicit ScopedWorkers(int workers) { set_parallel_workers(workers); }
+  ~ScopedWorkers() { set_parallel_workers(saved); }
+};
+
+// Counts this thread in and waits until `n` threads have arrived; false
+// after a 10 s deadline, so a missing thread fails the test, not the run.
+bool arrive_and_wait(std::atomic<int>& arrived, int n) {
+  arrived.fetch_add(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPoolTest, TileForksInRankBodiesUseIdleHelpers) {
+  // Two rank bodies on four workers leave two helpers parked; each body's
+  // two-tile fork may claim one, so the tiles reach more threads than the
+  // two the rank bodies run on — and never more than four at once.
+  const ScopedWorkers four(4);
+  std::mutex mutex;
+  std::set<int> tokens;
+  std::atomic<int> inflight{0}, most{0};
+  for (int call = 0; call < 50; ++call) {
+    parallel_for_ranks(2, [&](int) {
+      parallel_for_tiles(2, [&](int) {
+        const int now = inflight.fetch_add(1) + 1;
+        for (int seen = most.load(); now > seen && !most.compare_exchange_weak(seen, now);) {
+        }
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          tokens.insert(thread_token());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        inflight.fetch_sub(1);
+      });
+    });
+  }
+  EXPECT_GT(static_cast<int>(tokens.size()), 2);
+  EXPECT_LE(most.load(), 4);
+}
+
+TEST(ThreadPoolTest, TileForkRunsInlineWithoutIdleHelpers) {
+  // Four rank bodies on four workers hold every helper (the barriers keep
+  // all four bodies running), so each body's tile fork finds none idle and
+  // runs every tile on its own thread instead of waiting.
+  const ScopedWorkers four(4);
+  std::atomic<int> before{0}, after{0}, foreign{0}, tiles{0};
+  std::atomic<bool> timed_out{false};
+  parallel_for_ranks(4, [&](int) {
+    if (!arrive_and_wait(before, 4)) timed_out = true;
+    const int token = thread_token();
+    parallel_for_tiles(4, [&](int) {
+      if (thread_token() != token) foreign++;
+      tiles++;
+    });
+    if (!arrive_and_wait(after, 4)) timed_out = true;
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(tiles.load(), 16);
+}
+
+TEST(ThreadPoolTest, TileKeepsCallerRankPhaseAndRegion) {
+  const ScopedWorkers four(4);
+  std::atomic<int> bad{0};
+  const auto expect_context = [&](int rank, int phase, bool region) {
+    parallel_for_tiles(8, [&](int) {
+      if (current_rank() != rank || current_work_phase() != phase ||
+          in_parallel_region() != region) {
+        bad++;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+  };
+  {
+    RankScope rank(7);
+    WorkPhaseTag phase(5);
+    expect_context(7, 5, false);
+  }
+  expect_context(-1, 0, false);  // helpers restored their own context
+  {
+    WorkPhaseTag phase(3);
+    parallel_for_ranks(2, [&](int r) {
+      expect_context(r, 3, true);
+      EXPECT_EQ(current_rank(), r);
+    });
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_FALSE(in_parallel_region());
+}
+
+TEST(ThreadPoolTest, TileExceptionRethrownOnItsCallerOnly) {
+  const ScopedWorkers four(4);
+  std::atomic<int> rank1_tiles{0};
+  bool caught[2] = {false, false};
+  parallel_for_ranks(2, [&](int r) {
+    try {
+      parallel_for_tiles(4, [&](int t) {
+        if (r == 0 && t == 1) throw FpdtError("tile failure");
+        if (r == 1) rank1_tiles++;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+    } catch (const FpdtError&) {
+      caught[r] = true;
+    }
+  });
+  EXPECT_TRUE(caught[0]);
+  EXPECT_FALSE(caught[1]);
+  EXPECT_EQ(rank1_tiles.load(), 4);
+  EXPECT_THROW(parallel_for_tiles(4,
+                                  [](int t) {
+                                    if (t == 2) throw FpdtError("tile failure");
+                                  }),
+               FpdtError);
+}
+
+TEST(ThreadPoolTest, ConcurrentTileCallersEachSeeEveryIndexOnce) {
+  // Tile forks from several top-level threads share the helpers; none may
+  // lose or duplicate an index.
+  const ScopedWorkers four(4);
+  constexpr int kN = 32;
+  auto caller = [](std::atomic<int>& bad) {
+    for (int call = 0; call < 50; ++call) {
+      std::vector<std::atomic<int>> counts(kN);
+      parallel_for_tiles(kN, [&](int i) { counts[static_cast<std::size_t>(i)]++; });
+      for (const auto& c : counts) {
+        if (c.load() != 1) bad++;
+      }
+    }
+  };
+  std::atomic<int> bad[3] = {0, 0, 0};
+  std::thread a(caller, std::ref(bad[0]));
+  std::thread b(caller, std::ref(bad[1]));
+  std::thread c(caller, std::ref(bad[2]));
+  a.join();
+  b.join();
+  c.join();
+  for (const auto& x : bad) EXPECT_EQ(x.load(), 0);
+}
+
 TEST(ThreadPoolTest, RunsEveryIndexAfterABodyThrew) {
   EXPECT_THROW(parallel_for_ranks(8, [](int i) {
                  if (i == 1) throw FpdtError("worker failure");
@@ -194,52 +340,77 @@ TEST(ThreadPoolTest, WorkerCountChangesBetweenCalls) {
   set_parallel_workers(saved);
 }
 
+struct StepResult {
+  double loss = 0.0;
+  std::vector<Tensor> grads, weights;
+};
+
+// One training step of `s` on a fresh model at `workers` pool workers,
+// followed by a ZeRO-3 sharded optimizer step.
+StepResult run_step(const nn::ModelConfig& cfg, parallel::Strategy s, const std::string& backend,
+                    int world, std::int64_t chunks, const std::vector<std::int32_t>& tokens,
+                    int workers) {
+  const ScopedWorkers scoped(workers);
+  core::FpdtConfig fcfg;
+  fcfg.chunks_per_rank = chunks;
+  fcfg.kernel_backend = backend;
+  nn::Model model(cfg, 55);
+  auto trainer = parallel::make_trainer(s, model, world, fcfg);
+  StepResult res;
+  res.loss = trainer->train_step_grads(tokens);
+  model.visit_params([&](nn::Param& p) { res.grads.push_back(p.grad.clone()); });
+  zero::ShardedOptimizer opt(trainer->env(), zero::ZeroConfig{3});
+  opt.step([&](const nn::ParamVisitor& fn) { model.visit_params(fn); });
+  model.visit_params([&](nn::Param& p) { res.weights.push_back(p.value.clone()); });
+  return res;
+}
+
+void expect_bit_equal(const StepResult& serial, const StepResult& forked) {
+  EXPECT_EQ(std::memcmp(&serial.loss, &forked.loss, sizeof(double)), 0);
+  ASSERT_EQ(serial.grads.size(), forked.grads.size());
+  for (std::size_t i = 0; i < serial.grads.size(); ++i) {
+    EXPECT_TRUE(bit_equal(serial.grads[i], forked.grads[i])) << "grad " << i;
+    EXPECT_TRUE(bit_equal(serial.weights[i], forked.weights[i])) << "weight " << i;
+  }
+}
+
 TEST(ThreadPoolTest, FpdtStepBitIdenticalSerialVsParallel) {
   // The headline determinism property: a training step of every strategy
   // forked across threads, followed by a ZeRO-3 sharded optimizer step,
   // produces exactly the same loss, gradients and updated weights as
   // serial — under both kernel backends (simd forks rows at top level),
-  // for GPT and for Llama's gated FFN.
+  // for GPT and for Llama's gated FFN, at every worker count up to 4.
   data::SyntheticCorpus corpus(48, 9);
   const auto tokens = corpus.sample(65);
-
-  struct Result {
-    double loss = 0.0;
-    std::vector<Tensor> grads, weights;
-  };
-  auto run = [&](const nn::ModelConfig& cfg, parallel::Strategy s, const std::string& backend,
-                 int workers) {
-    const int saved = parallel_workers();
-    set_parallel_workers(workers);
-    core::FpdtConfig fcfg;
-    fcfg.chunks_per_rank = 4;
-    fcfg.kernel_backend = backend;
-    nn::Model model(cfg, 55);
-    auto trainer = parallel::make_trainer(s, model, 4, fcfg);
-    Result res;
-    res.loss = trainer->train_step_grads(tokens);
-    model.visit_params([&](nn::Param& p) { res.grads.push_back(p.grad.clone()); });
-    zero::ShardedOptimizer opt(trainer->env(), zero::ZeroConfig{3});
-    opt.step([&](const nn::ParamVisitor& fn) { model.visit_params(fn); });
-    model.visit_params([&](nn::Param& p) { res.weights.push_back(p.value.clone()); });
-    set_parallel_workers(saved);
-    return res;
-  };
-
   for (const nn::ModelConfig& cfg : {nn::tiny_gpt(32, 2, 4, 48), nn::tiny_llama(32, 1, 4, 4, 48)}) {
     for (const parallel::Strategy s : parallel::kStrategies) {
       for (const std::string backend : {"scalar", "simd"}) {
-        SCOPED_TRACE(std::string(cfg.arch == nn::Arch::kLlama ? "llama/" : "gpt/") + parallel::strategy_name(s) +
-                     "/" + backend);
-        const Result serial = run(cfg, s, backend, 1);
-        const Result forked = run(cfg, s, backend, 4);
-        EXPECT_EQ(std::memcmp(&serial.loss, &forked.loss, sizeof(double)), 0);
-        ASSERT_EQ(serial.grads.size(), forked.grads.size());
-        for (std::size_t i = 0; i < serial.grads.size(); ++i) {
-          EXPECT_TRUE(bit_equal(serial.grads[i], forked.grads[i])) << "grad " << i;
-          EXPECT_TRUE(bit_equal(serial.weights[i], forked.weights[i])) << "weight " << i;
+        const StepResult serial = run_step(cfg, s, backend, 4, 4, tokens, 1);
+        for (const int workers : {2, 3, 4}) {
+          SCOPED_TRACE(std::string(cfg.arch == nn::Arch::kLlama ? "llama/" : "gpt/") +
+                       parallel::strategy_name(s) + "/" + backend + "/" +
+                       std::to_string(workers) + " workers");
+          expect_bit_equal(serial, run_step(cfg, s, backend, 4, 4, tokens, workers));
         }
       }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, FpdtLongChunkStepBitIdenticalAcrossWorkers) {
+  // World 2 over 4 or 8 heads with 512-row attention chunks: every rank body's
+  // chunk attention runs as KV-head-group tiles on the helpers the two
+  // ranks leave idle (the tiny models above hold one head per rank). The
+  // Llama case has 2 query heads per KV head.
+  data::SyntheticCorpus corpus(48, 11);
+  const auto tokens = corpus.sample(1025);
+  for (const nn::ModelConfig& cfg : {nn::tiny_gpt(64, 1, 4, 48), nn::tiny_llama(64, 1, 8, 4, 48)}) {
+    const StepResult serial = run_step(cfg, parallel::Strategy::kFpdt, "simd", 2, 2, tokens, 1);
+    for (const int workers : {2, 3, 4}) {
+      SCOPED_TRACE(std::string(cfg.arch == nn::Arch::kLlama ? "llama/" : "gpt/") +
+                   std::to_string(workers) + " workers");
+      expect_bit_equal(serial,
+                       run_step(cfg, parallel::Strategy::kFpdt, "simd", 2, 2, tokens, workers));
     }
   }
 }
