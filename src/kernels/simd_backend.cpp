@@ -87,7 +87,7 @@ bool should_split_heads(const AttnDims& dm) {
 // One operand's slice for a head group: `rows` runs of `width` floats,
 // `ld` apart, starting `off` floats into the operand.
 struct Strided {
-  std::int64_t rows, ld, width, off;
+  std::int64_t rows = 0, ld = 0, width = 0, off = 0;
 };
 
 // Tile t of `tiles` over a call's KV heads: a contiguous run of KV heads
@@ -145,7 +145,7 @@ class TileScratch {
   static constexpr std::int64_t kLine = 64 / sizeof(float);
   static std::int64_t padded(std::int64_t n) { return (n + kLine - 1) / kLine * kLine; }
 
-  float* next_;
+  float* next_ = nullptr;
 };
 
 // Runs body(group) for each KV-head group, possibly concurrently.
