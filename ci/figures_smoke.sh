@@ -4,8 +4,9 @@
 # the copy in the repo root. A change that moves a figure must regenerate
 # its CSV (and explain the moved cells in EXPERIMENTS.md) in the same change.
 #
-#   - the bench binaries behind Figs. 1/10/11/12, Tables 1/2/3, the design
-#     ablations and the per-strategy weak-scaling table;
+#   - the bench binaries behind Figs. 1/10/11/12/13/14, Tables 1/2/3, the
+#     design ablations and the per-strategy weak-scaling table (Figs. 13 and
+#     14 and Table 2 run the executor; Fig. 14 takes about 25 s);
 #   - `fpdt topo --ranks 64..1024`, the topology-routed weak-scaling sweep.
 #
 #   ci/figures_smoke.sh [build_dir]   # default: build
@@ -17,8 +18,9 @@ BUILD_DIR="${1:-build}"
 BENCH="$root/$BUILD_DIR/bench"
 FPDT="$root/$BUILD_DIR/tools/fpdt"
 benches=(bench_fig01_mfu_frontier bench_fig10_op_latency bench_fig11_e2e_mfu
-         bench_fig12_chunk_tradeoff bench_table1_max_context bench_table2_footprint
-         bench_table3_ablation bench_ablation_design bench_weak_scaling)
+         bench_fig12_chunk_tradeoff bench_fig13_mem_timeline bench_fig14_convergence
+         bench_table1_max_context bench_table2_footprint bench_table3_ablation
+         bench_ablation_design bench_weak_scaling)
 for bin in "${benches[@]/#/$BENCH/}" "$FPDT"; do
   if [[ ! -x "$bin" ]]; then
     echo "figures_smoke: $bin not built (run cmake --build $BUILD_DIR first)" >&2
@@ -36,7 +38,8 @@ done
 
 fail=0
 for csv in fig01_mfu_frontier.csv fig10_op_latency.csv fig11_e2e_mfu.csv \
-           fig12_chunk_tradeoff.csv table1_max_context.csv table2_footprint.csv \
+           fig12_chunk_tradeoff.csv fig13_mem_timeline.csv fig14_convergence.csv \
+           table1_max_context.csv table2_footprint.csv \
            table3_ablation.csv ablation_double_buffer.csv ablation_grad_spike.csv \
            ablation_mst.csv ablation_pcie.csv weak_scaling_strategies.csv weak_scaling.csv; do
   if ! cmp -s "$csv" "$root/$csv"; then

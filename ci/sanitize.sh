@@ -19,13 +19,14 @@ run_lane() {
   cmake -B "$dir" -S . -DFPDT_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j
   # The suites that exercise shared state across the emulated ranks: the
-  # stream/prefetch engine, the thread pool, the chunked executors, the
-  # baseline executors and the one training loop every strategy runs
-  # through, and the tracer/metrics layer that all of them publish into
+  # stream/prefetch engine, the thread pool, the chunked executors (and
+  # the FPDT schedule-agreement sweep over every flag), the baseline
+  # executors and the one training loop every strategy runs through, and
+  # the tracer/metrics layer that all of them publish into
   # concurrently. The thread pool's tile forks (ThreadPoolTest.*Tile*) run
   # on helpers shared by concurrent callers.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-    -R 'Stream|Prefetch|ThreadPool|Tile|MemoryPool|ChunkStore|Fpdt|Baseline|MegatronSp|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
+    -R 'Stream|Prefetch|ThreadPool|Tile|MemoryPool|ChunkStore|Fpdt|ScheduleAgreement|Baseline|MegatronSp|Strategy|BatchTraining|Tracer|Metrics|Profiler|Timeline|Fault|Chaos|Resilient|Zero|RankOrdinal|SearchSpace|Planner|PruneSoundness|Tune|Runner|Elastic|Reshard|Collectives|GroupView|Serve|Topology|TopoModel|HierDifferential|Hierarchical|Grid2D'
   # Kernel-backend matrix: the math-kernel suites must hold under both the
   # scalar reference and the simd backend. The simd lane is the one that can
   # race — its GEMM/attention forks rows across the thread pool — so TSan

@@ -58,9 +58,8 @@ void ChunkPrefetcher::synchronize() {
   dev.d2h_stream().synchronize();
 }
 
-void ChunkPrefetcher::prefetch(const std::string& key, bool take,
-                               std::vector<Event> waits) {
-  issue_fetch(key, take, std::move(waits), /*count_against_cap=*/true);
+Event ChunkPrefetcher::prefetch(const std::string& key, bool take, std::vector<Event> waits) {
+  return issue_fetch(key, take, std::move(waits), /*count_against_cap=*/true);
 }
 
 void ChunkPrefetcher::survive_transfer_faults(bool is_fetch, const std::string& key) {
@@ -87,8 +86,8 @@ void ChunkPrefetcher::survive_transfer_faults(bool is_fetch, const std::string& 
   }
 }
 
-void ChunkPrefetcher::issue_fetch(const std::string& key, bool take,
-                                  std::vector<Event> waits, bool count_against_cap) {
+Event ChunkPrefetcher::issue_fetch(const std::string& key, bool take, std::vector<Event> waits,
+                                   bool count_against_cap) {
   FPDT_CHECK(!fetches_.contains(key)) << " chunk " << key << " already in flight";
   if (count_against_cap) {
     FPDT_CHECK_LT(in_flight(), max_in_flight_)
@@ -108,7 +107,7 @@ void ChunkPrefetcher::issue_fetch(const std::string& key, bool take,
     f.slot = std::make_shared<Buffer>(take ? store_->take(key) : store_->fetch_copy(key));
     trace_chunk("fetch.sync", key, store_->device().rank(), f.slot->bytes());
     fetches_.emplace(key, std::move(f));
-    return;
+    return Event();
   }
 
   Device& dev = store_->device();
@@ -150,14 +149,16 @@ void ChunkPrefetcher::issue_fetch(const std::string& key, bool take,
         trace_chunk("fetch.retire", key, devp->rank(), bytes);
       });
   fetches_.emplace(key, InFetch{ready, std::move(slot)});
+  return ready;
 }
 
-ChunkPrefetcher::Fetched ChunkPrefetcher::acquire(const std::string& key, bool take) {
+ChunkPrefetcher::Fetched ChunkPrefetcher::acquire(const std::string& key, bool take,
+                                                  std::vector<Event> waits) {
   auto it = fetches_.find(key);
   if (it == fetches_.end()) {
     // Not prefetched: fetch on the spot, still through the H2D stream so
     // the transfer shows up (as exposed time) in the span ledger.
-    issue_fetch(key, take, {}, /*count_against_cap=*/false);
+    issue_fetch(key, take, std::move(waits), /*count_against_cap=*/false);
     it = fetches_.find(key);
   }
   Fetched f;

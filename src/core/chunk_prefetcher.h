@@ -15,8 +15,10 @@
 //                  retires) and returns the device buffer plus its ready
 //                  event, for downstream compute-task dependencies. Keys
 //                  that were never prefetched are fetched on the spot —
-//                  still through the H2D stream, so unhidden transfers
-//                  show up as *exposed* time in the timeline report.
+//                  still through the H2D stream, after the given waits (the
+//                  compute that frees the destination buffer), so unhidden
+//                  transfers show up as *exposed* time in the timeline
+//                  report.
 //   put_async(key) detaches the device charge at issue (the compute that
 //                  produced the chunk is named by `waits`), stages the
 //                  bytes on the destination pool, and adopts the chunk
@@ -68,8 +70,9 @@ class ChunkPrefetcher {
   // stored chunk (host charge drops at retire); otherwise the host copy
   // survives (fetch_copy semantics). `waits` are cross-stream deps — the
   // double-buffer window event (the compute that freed the target buffer).
-  void prefetch(const std::string& key, bool take = false,
-                std::vector<runtime::Event> waits = {});
+  // Returns the H2D completion event (null in sync mode).
+  runtime::Event prefetch(const std::string& key, bool take = false,
+                          std::vector<runtime::Event> waits = {});
 
   struct Fetched {
     runtime::Buffer buffer;
@@ -77,9 +80,10 @@ class ChunkPrefetcher {
   };
 
   // Completes the prefetch of `key` (or performs an on-the-spot fetch with
-  // the same `take` semantics if none was issued) and returns the device
-  // buffer.
-  Fetched acquire(const std::string& key, bool take = false);
+  // the same `take` semantics, after `waits`, if none was issued) and
+  // returns the device buffer.
+  Fetched acquire(const std::string& key, bool take = false,
+                  std::vector<runtime::Event> waits = {});
 
   // Async store of a device buffer under `key`. Returns the D2H completion
   // event (null in sync mode, where the offload happens inline).
@@ -93,8 +97,8 @@ class ChunkPrefetcher {
   void synchronize();
 
  private:
-  void issue_fetch(const std::string& key, bool take, std::vector<runtime::Event> waits,
-                   bool count_against_cap);
+  runtime::Event issue_fetch(const std::string& key, bool take,
+                             std::vector<runtime::Event> waits, bool count_against_cap);
   // Streams path is active unless sync-constructed or fault-degraded.
   bool streams_active() const { return use_streams_ && !degraded_; }
   // Draws the injector for a transfer at `key`; retries with backoff

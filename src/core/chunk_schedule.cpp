@@ -40,12 +40,6 @@ KindNames names_of(OpKind kind) {
   return {"?", "?"};
 }
 
-// Chunk index the op's buffers belong to: the kv chunk for KV fetches, the
-// main chunk otherwise.
-std::int64_t buffer_chunk(const ScheduleOp& op) {
-  return op.kind == OpKind::kFetchKv ? op.j : op.i;
-}
-
 }  // namespace
 
 std::int64_t ChunkGeometry::bytes(Buf buf) const {
@@ -56,6 +50,20 @@ std::int64_t ChunkGeometry::bytes(Buf buf) const {
       return c_global * kv_heads * head_dim * 2;
     default: return c_global * heads * head_dim * 2;  // q̂, ô, dô, dq̂
   }
+}
+
+ChunkGeometry chunk_geometry(int world, std::int64_t s_local, std::int64_t u,
+                             std::int64_t d_model, std::int64_t n_head, std::int64_t n_kv_head) {
+  FPDT_CHECK_EQ(s_local % u, 0) << " s_local " << s_local << " not divisible into " << u
+                                << " chunks";
+  ChunkGeometry g;
+  g.c_local = s_local / u;
+  g.c_global = g.c_local * world;
+  g.d_model = d_model;
+  g.heads = std::max<std::int64_t>(1, n_head / world);
+  g.kv_heads = std::max<std::int64_t>(1, n_kv_head / world);
+  g.head_dim = d_model / n_head;
+  return g;
 }
 
 std::string ScheduleOp::label() const {
@@ -85,7 +93,7 @@ std::size_t ChunkSchedule::push(OpKind kind, std::int64_t i, std::int64_t j, int
   // Write-then-read on host copies: a fetch waits for the offload that
   // last wrote each of its buffers (ChunkStore::offload_event).
   for (Buf b : op.bufs) {
-    const std::pair<Buf, std::int64_t> key{b, buffer_chunk(op)};
+    const std::pair<Buf, std::int64_t> key{b, op.buffer_chunk()};
     if (stream == kStreamD2H) last_offload_[key] = ops_.size();
     if (stream == kStreamH2D) {
       if (auto it = last_offload_.find(key); it != last_offload_.end()) deps.push_back(it->second);

@@ -1,20 +1,18 @@
-// Explicit representation of the FPDT chunk schedule (Figs. 4, 5 and 7) as
-// an op list with stream assignments and cross-stream dependencies.
+// The FPDT chunk schedule (Figs. 4, 5 and 7) as an op list with stream
+// assignments and cross-stream dependencies — the one encoding of it.
 //
-// Each op is one thing the functional executor (fpdt_block.cpp) does on one
-// rank: a compute region (named with the executor's span label), a
-// collective, or a fetch/offload of named chunk buffers. The list is in the
-// executor's issue order, so per stream it is that stream's FIFO order.
-// `deps` are the cross-stream waits: a fetch waits for the op that frees
-// its buffer slot (the double-buffer window, the backward fetch-ahead, the
-// single q-side slot of a backward pair) and for the offload that wrote its
-// chunk. The timing simulator (sim/timeline.h) prices this list op by op,
-// and tests/test_schedule_agreement.cpp holds the executor to it (region
-// labels, transfer bytes, attention FLOPs). check_legal() guards it: every
-// operand is produced before use, nothing is read from the host without a
-// fetch, at most `window` KV chunk buffers are device-resident, and dq̂
-// accumulators finalize exactly once — at outer iteration j == i, as the
-// paper describes.
+// Each op is one thing a rank does: a compute region (named with its span
+// label), a collective, or a fetch/offload of named chunk buffers, in issue
+// order, so per stream it is that stream's FIFO order. `deps` are the
+// cross-stream waits: a fetch waits for the op that frees its buffer slot
+// (the double-buffer window, the backward fetch-ahead, the single q-side
+// slot of a backward pair) and for the offload that wrote its chunk.
+// core::FpdtBlockExecutor runs the list with one handler per op kind and
+// waits on exactly these deps; the timing simulator (sim/timeline.h) prices
+// it op by op. check_legal() guards it: every operand is produced before
+// use, nothing is read from the host without a fetch, at most `window` KV
+// chunk buffers are device-resident, and dq̂ accumulators finalize exactly
+// once — at outer iteration j == i, as the paper describes.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +65,11 @@ struct ChunkGeometry {
   std::int64_t bytes(Buf buf) const;
 };
 
+// One rank's chunk shapes when `world` ranks hold s_local tokens each in u
+// chunks (u must divide s_local): the executor's and the simulator's.
+ChunkGeometry chunk_geometry(int world, std::int64_t s_local, std::int64_t u,
+                             std::int64_t d_model, std::int64_t n_head, std::int64_t n_kv_head);
+
 inline constexpr int kStreamCompute = 0;
 inline constexpr int kStreamH2D = 1;
 inline constexpr int kStreamD2H = 2;
@@ -87,6 +90,8 @@ struct ScheduleOp {
   std::string debug() const;
   // Bytes the op moves (sum of its buffers; 0 for compute ops).
   std::int64_t bytes(const ChunkGeometry& g) const;
+  // Chunk its buffers belong to: the kv chunk for KV fetches, else i.
+  std::int64_t buffer_chunk() const { return kind == OpKind::kFetchKv ? j : i; }
 };
 
 class ChunkSchedule {

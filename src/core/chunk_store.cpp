@@ -71,26 +71,11 @@ runtime::Buffer ChunkStore::fetch_copy(const std::string& key) {
   return device_->alloc(it->second.tensor().clone(), it->second.dtype());
 }
 
-const Tensor& ChunkStore::peek(const std::string& key) const {
-  check_live();
-  auto it = chunks_.find(key);
-  FPDT_CHECK(it != chunks_.end()) << " missing chunk " << key;
-  return it->second.tensor();
-}
-
 std::int64_t ChunkStore::stored_bytes(const std::string& key) const {
   check_live();
   auto it = chunks_.find(key);
   FPDT_CHECK(it != chunks_.end()) << " missing chunk " << key;
   return it->second.bytes();
-}
-
-void ChunkStore::drop(const std::string& key) {
-  check_live();
-  auto it = chunks_.find(key);
-  FPDT_CHECK(it != chunks_.end()) << " dropping missing chunk " << key;
-  chunks_.erase(it);
-  offload_events_.erase(key);
 }
 
 std::string chunk_key(const char* kind, std::int64_t layer, std::int64_t chunk) {

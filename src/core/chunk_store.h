@@ -59,17 +59,7 @@ class ChunkStore {
   // fetches KV chunks u-i times; the cached copy must survive).
   runtime::Buffer fetch_copy(const std::string& key);
 
-  // Read-only peek at the stored tensor without any migration (used by
-  // code that only needs metadata/shape).
-  const Tensor& peek(const std::string& key) const;
-
   bool contains(const std::string& key) const { return chunks_.contains(key); }
-  void drop(const std::string& key);
-  void clear() {
-    chunks_.clear();
-    offload_events_.clear();
-  }
-  std::size_t size() const { return chunks_.size(); }
 
   bool offload() const { return offload_; }
   runtime::Device& device() const;

@@ -1,7 +1,8 @@
 // FpdtBlockExecutor — the paper's contribution, functionally exact.
 //
 // Executes one Transformer block across a sequence-parallel group with the
-// fully pipelined chunked dataflow of §4:
+// fully pipelined chunked dataflow of §4, by running the op list of
+// core::ChunkSchedule — the list the simulator prices:
 //
 //   forward (Figs. 4–5), per sequence chunk i:
 //     norm1 + QKV projection on each rank's local chunk (RoPE at global
@@ -10,8 +11,8 @@
 //     → All2All back → output projection → residual → chunked FFN (2× the
 //     attention chunks, §5.4) → residual.
 //     k̂ᵢ/v̂ᵢ are stored in the ChunkStore (offloaded to host when
-//     cfg.offload), so at most one (strict) or two (double-buffer) KV
-//     chunks are HBM-resident at a time.
+//     cfg.offload), so one (strict) or two (double-buffer) fetched KV
+//     chunks are HBM-resident while an attention step computes.
 //
 //   backward (Fig. 7): recompute-forward with caching (activation
 //   checkpointing), then
@@ -23,6 +24,11 @@
 //              All2All returns the finals to their home ranks where the
 //              QKV-projection and norm1 backward produce dxⱼ;
 //     residual gradients accumulate along the way.
+//
+// One handler per op kind; every wait is the event of an op in its `deps`,
+// and each rank's live chunk buffers sit in one table keyed by (Buf, chunk).
+// The list always carries the offload transfers: with cfg.offload off the
+// ChunkStore keeps chunks resident, so they move no bytes and take no time.
 //
 // Weights are *shared* across ranks (they borrow one nn::TransformerBlock):
 // each emulated rank accumulates into the same gradient tensors, which
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "core/block_executor.h"
+#include "core/chunk_schedule.h"
 #include "core/chunk_store.h"
 #include "core/fpdt_env.h"
 #include "nn/transformer_block.h"
@@ -72,21 +79,19 @@ class FpdtBlockExecutor : public BlockExecutor {
   std::int64_t cached_host_bytes() const;
 
  private:
-  std::vector<Tensor> backward_phases(const std::vector<Tensor>& dz_local,
-                                      const std::vector<Tensor>& x_local,
-                                      std::vector<ChunkStore>& stores);
+  struct Lane;
+  struct Run;
 
-  struct Geometry {
-    std::int64_t s_local = 0, c_local = 0, c_global = 0, u = 0, d_model = 0;
-  };
-  Geometry geometry(const std::vector<Tensor>& x_local) const;
-
-  // Shared forward pass. When `stores` is non-null, caches q̂/k̂/v̂/ô/lse/y
-  // chunks for the backward phases; otherwise only k̂/v̂ live transiently.
-  std::vector<Tensor> run_forward(const std::vector<Tensor>& x_local,
-                                  std::vector<ChunkStore>* stores);
-
-  std::int64_t local_pos0(int rank, std::int64_t chunk, std::int64_t c_local) const;
+  std::vector<ChunkStore> make_stores();
+  // Runs `sched` over every rank with its chunks cached in `stores`;
+  // `dz_local` is null for a forward list. Returns the block output
+  // (forward) or dx (backward).
+  std::vector<Tensor> execute(const ChunkSchedule& sched, std::vector<ChunkStore>& stores,
+                              const std::vector<Tensor>& x_local,
+                              const std::vector<Tensor>* dz_local);
+  // One op on rank r, and a collective across every rank.
+  void step(Run& run, std::size_t k, int r);
+  void collective(Run& run, std::size_t k);
 
   nn::TransformerBlock* block_;
   std::int64_t layer_;

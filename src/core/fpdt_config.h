@@ -15,9 +15,9 @@ struct FpdtConfig {
   // false = "FPDT w. chunking": cached chunks stay resident in HBM.
   bool offload = true;
 
-  // Keep a second KV chunk buffer resident so the next chunk's fetch can
-  // overlap compute (Fig. 7). Only affects the measured HBM working set in
-  // the functional layer; the latency effect lives in the simulator.
+  // Fetch each chunk one step ahead into a second buffer so the transfer
+  // overlaps compute (Fig. 7): one more resident chunk set, less exposed
+  // transfer time on the executor's virtual clock and in the simulator.
   bool double_buffer = true;
 
   // With offload, ChunkPrefetcher migrates chunks on the H2D/D2H streams

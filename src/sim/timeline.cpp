@@ -72,15 +72,7 @@ LayerGemmFlops layer_gemm_flops(const nn::ModelConfig& cfg, std::int64_t rows) {
 
 ChunkGeometry chunk_geometry(const nn::ModelConfig& cfg, int world, std::int64_t s_local,
                              std::int64_t u) {
-  FPDT_CHECK_EQ(s_local % u, 0) << " chunking divisibility";
-  ChunkGeometry g;
-  g.c_local = s_local / u;
-  g.c_global = g.c_local * world;
-  g.d_model = cfg.d_model;
-  g.heads = std::max<std::int64_t>(1, cfg.n_head / world);
-  g.kv_heads = std::max<std::int64_t>(1, cfg.n_kv_head / world);
-  g.head_dim = cfg.head_dim();
-  return g;
+  return core::chunk_geometry(world, s_local, u, cfg.d_model, cfg.n_head, cfg.n_kv_head);
 }
 
 std::int64_t op_flops(const nn::ModelConfig& cfg, const ChunkGeometry& g, const ScheduleOp& op) {

@@ -39,8 +39,9 @@ struct LayerGemmFlops {
 };
 LayerGemmFlops layer_gemm_flops(const nn::ModelConfig& cfg, std::int64_t rows);
 
-// Per-rank chunk shapes of FPDT: u chunks of s_local tokens per rank, heads
-// split over the world (at least one per rank).
+// Per-rank chunk shapes of FPDT for `cfg` (core::chunk_geometry): u chunks
+// of s_local tokens per rank, heads split over the world (at least one per
+// rank).
 core::ChunkGeometry chunk_geometry(const nn::ModelConfig& cfg, int world, std::int64_t s_local,
                                    std::int64_t u);
 

@@ -6,6 +6,10 @@
 //  - rank 0's H2D and D2H byte counters equal the schedule's buffer bytes;
 //  - every attention span's FLOPs equal what the simulator prices for that
 //    op (sim::op_flops), exactly.
+//  - on rank 0's virtual clock, every op starts no earlier than each op in
+//    its `deps` ends (the executor waits on exactly what the simulator
+//    prices: the backward step on its dq̂ fetch, a point-of-use fetch on the
+//    compute that frees its buffer slot).
 // Swept over GPT and GQA Llama, world 2/4, u 1/2/4, and every combination
 // of offload, double buffering and forward-output caching.
 #include <gtest/gtest.h>
@@ -33,6 +37,7 @@ using core::ScheduleOp;
 struct Executed {
   std::vector<runtime::StreamSpan> regions;  // rank 0 compute regions, in order
   runtime::TransferStats transfers;          // rank 0
+  std::vector<runtime::StreamSpan> compute, h2d, d2h;  // rank 0's span ledgers
 };
 
 Executed run_block(const nn::ModelConfig& cfg, int world, const core::FpdtConfig& fcfg,
@@ -54,6 +59,9 @@ Executed run_block(const nn::ModelConfig& cfg, int world, const core::FpdtConfig
     if (sp.label.rfind("a2a ", 0) != 0) out.regions.push_back(sp);
   }
   out.transfers = env.device(0).transfers();
+  out.compute = env.device(0).compute_stream().spans();
+  out.h2d = env.device(0).h2d_stream().spans();
+  out.d2h = env.device(0).d2h_stream().spans();
   return out;
 }
 
@@ -62,10 +70,47 @@ std::vector<ScheduleOp> step_ops(const core::FpdtConfig& c) {
   const std::int64_t u = c.chunks_per_rank;
   std::vector<ScheduleOp> ops =
       ChunkSchedule::forward(u, c.offload, c.double_buffer, c.cache_forward_outputs).ops();
-  const std::vector<ScheduleOp> bwd =
+  std::vector<ScheduleOp> bwd =
       ChunkSchedule::backward(u, c.offload, c.double_buffer, !c.cache_forward_outputs).ops();
+  for (ScheduleOp& op : bwd) {
+    for (std::size_t& d : op.deps) d += ops.size();
+  }
   ops.insert(ops.end(), bwd.begin(), bwd.end());
   return ops;
+}
+
+// Rank 0's executed [start, finish] of every op, taken in stream order:
+// compute regions and collectives (one priced span per buffer) from the
+// compute stream, fetches and offloads (one span per buffer) from theirs;
+// every executed span belongs to one op.
+std::vector<std::pair<double, double>> executed_intervals(const std::vector<ScheduleOp>& ops,
+                                                          const Executed& ex) {
+  std::map<int, std::pair<const std::vector<runtime::StreamSpan>*, std::size_t>> ledger = {
+      {core::kStreamCompute, {&ex.compute, 0}},
+      {core::kStreamH2D, {&ex.h2d, 0}},
+      {core::kStreamD2H, {&ex.d2h, 0}}};
+  std::vector<std::pair<double, double>> out;
+  for (const ScheduleOp& op : ops) {
+    auto& [spans, at] =
+        ledger[op.stream == core::kStreamComm ? core::kStreamCompute : op.stream];
+    const std::size_t n = op.stream == core::kStreamCompute ? 1 : op.bufs.size();
+    if (at + n > spans->size()) {
+      ADD_FAILURE() << "no executed span for " << op.debug();
+      return out;
+    }
+    const std::string& first = (*spans)[at].label;
+    const std::string prefix = op.stream == core::kStreamCompute ? op.label()
+                               : op.stream == core::kStreamComm  ? "a2a "
+                               : op.stream == core::kStreamH2D   ? "fetch."
+                                                                 : "offload.";
+    EXPECT_EQ(first.substr(0, prefix.size()), prefix) << op.debug();
+    out.emplace_back((*spans)[at].start, (*spans)[at + n - 1].finish);
+    at += n;
+  }
+  for (const auto& [stream, ledger_at] : ledger) {
+    EXPECT_EQ(ledger_at.second, ledger_at.first->size()) << "unmatched spans on stream " << stream;
+  }
+  return out;
 }
 
 std::int64_t stream_bytes(const std::vector<ScheduleOp>& ops, int stream,
@@ -115,6 +160,26 @@ TEST_P(ScheduleAgreement, ExecutorRunsTheScheduleTheSimulatorPrices) {
   EXPECT_EQ(ex.transfers.d2h_bytes, stream_bytes(ops, core::kStreamD2H, g));
   if (!offload) {
     EXPECT_EQ(ex.transfers.h2d_bytes + ex.transfers.d2h_bytes, 0);
+  }
+}
+
+TEST_P(ScheduleAgreement, ExecutedOpsStartAfterTheirDependencies) {
+  const auto [llama, world, u, offload, dbuf, cache] = GetParam();
+  const nn::ModelConfig cfg = llama ? nn::tiny_llama(64, 1, 8, 4) : nn::tiny_gpt(32, 1, 4, 64);
+  core::FpdtConfig fcfg;
+  fcfg.chunks_per_rank = u;
+  fcfg.offload = offload;
+  fcfg.double_buffer = dbuf;
+  fcfg.cache_forward_outputs = cache;
+  const Executed ex = run_block(cfg, world, fcfg, world * 4 * u);
+  const std::vector<ScheduleOp> ops = step_ops(fcfg);
+  const std::vector<std::pair<double, double>> at = executed_intervals(ops, ex);
+  ASSERT_EQ(at.size(), ops.size());
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    for (std::size_t d : ops[k].deps) {
+      EXPECT_GE(at[k].first, at[d].second)
+          << ops[k].debug() << " starts before its dependency " << ops[d].debug() << " ends";
+    }
   }
 }
 
