@@ -33,6 +33,7 @@ using Key = std::pair<Buf, std::int64_t>;  // (buffer, chunk)
 // ChunkStore key prefix of each Buf.
 constexpr const char* kStoreName[] = {"qhat", "khat",  "vhat", "ohat",  "lse",  "y",
                                       "dohat", "D",    "dqhat", "dkhat", "dvhat"};
+static_assert(std::size(kStoreName) == static_cast<std::size_t>(Buf::kDvhat) + 1);
 
 // The HBM phase label (Fig. 13) an op's charges are recorded under; null
 // where the op keeps the current one. A fetch takes its consumer's.
@@ -141,11 +142,6 @@ struct FpdtBlockExecutor::Run {
   // at global chunk i*P + r.
   std::int64_t pos0(int r, std::int64_t i) const { return i * g.c_global + r * g.c_local; }
   Lane& lane(int r) { return lanes[static_cast<std::size_t>(r)]; }
-  std::vector<Event> waits(std::size_t k, int r) {
-    std::vector<Event> out;
-    for (std::size_t d : ops[k].deps) if (lane(r).done[d].valid()) out.push_back(lane(r).done[d]);
-    return out;
-  }
 };
 
 FpdtBlockExecutor::FpdtBlockExecutor(nn::TransformerBlock& block, std::int64_t layer_index,
@@ -273,7 +269,8 @@ void FpdtBlockExecutor::step(Run& run, std::size_t k, int r) {
     }
     lane.reuse_kv_slots();
   }
-  std::vector<Event> waits = run.waits(k, r);
+  std::vector<Event> waits;
+  for (std::size_t d : op.deps) if (lane.done[d].valid()) waits.push_back(lane.done[d]);
   Event& done = lane.done[k];
 
   switch (op.kind) {
