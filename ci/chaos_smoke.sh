@@ -8,7 +8,7 @@
 #   - the final loss matches a fault-free twin bitwise (transient faults are
 #     invisible to training math).
 #
-#   ci/chaos_smoke.sh [build_dir] [zero_stage]   # defaults: build, seed (-1)
+#   ci/chaos_smoke.sh [build_dir] [zero_stage]   # defaults: build, 0
 #
 # A second argument runs the whole contract under that ZeRO stage (the
 # sharded optimizer + sharded FPDTZR01 snapshots are then on the fault path).
@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
-ZERO_STAGE="${2:--1}"
+ZERO_STAGE="${2:-0}"
 FPDT="$(pwd)/$BUILD_DIR/tools/fpdt"
 if [[ ! -x "$FPDT" ]]; then
   echo "chaos_smoke: $FPDT not built (run cmake --build $BUILD_DIR first)" >&2

@@ -13,6 +13,7 @@
 #include "data/synthetic_corpus.h"
 #include "nn/adam.h"
 #include "nn/model.h"
+#include "parallel/zero/zero_config.h"
 
 int main(int argc, char** argv) {
   using namespace fpdt;
@@ -23,13 +24,18 @@ int main(int argc, char** argv) {
   const nn::ModelConfig cfg = nn::tiny_gpt(64, 2, 4, 96);
   data::SyntheticCorpus corpus(cfg.vocab, 11);
 
-  // A deliberately tight HBM budget: the full-sequence working set of the
+  // A deliberately tight HBM budget: on top of the replicated (ZeRO stage 0)
+  // model state every trainer charges, the full-sequence working set of the
   // monolithic (Ulysses, 1-chunk) executor does not fit, the chunked one
   // does. Scaled-down version of the paper's Fig. 11 OOM walls.
-  const std::int64_t hbm_cap = seq_len * cfg.d_model * 2 * 3;
+  std::int64_t n_params = 0;
+  nn::Model(cfg, 99).visit_params([&](nn::Param& p) { n_params += p.value.numel(); });
+  const std::int64_t model_state =
+      n_params * (zero::kParamBytesPerElem + zero::kGradBytesPerElem + zero::kOptimBytesPerElem);
+  const std::int64_t hbm_cap = model_state + seq_len * cfg.d_model * 2 * 3;
 
   std::cout << "sequence " << format_token_count(seq_len) << ", HBM cap/GPU "
-            << format_bytes(hbm_cap) << "\n\n";
+            << format_bytes(hbm_cap) << " (model state " << format_bytes(model_state) << ")\n\n";
 
   // ---- Attempt 1: no chunking (Ulysses-style execution).
   {

@@ -343,6 +343,8 @@ void FpdtBlockExecutor::step(Run& run, std::size_t k, int r) {
         for (const Key& key : std::views::reverse(lane.kv_fetched)) lane.live.erase(key);
         lane.kv_fetched.clear();
         lane.state_charge.release();
+        // Only a backward reads q̂ᵢ and lseᵢ again.
+        if (!run.caching) for (Buf b : {Buf::kLse, Buf::kQhat}) lane.live.erase({b, i});
       }
       break;
     }
@@ -362,10 +364,7 @@ void FpdtBlockExecutor::step(Run& run, std::size_t k, int r) {
       }, waits);
       run.chunk(run.z, r, i).copy_from(add(y.tensor(), f));
       yn_charge.release();
-      if (!run.caching) {
-        // Nothing feeds a backward: chunk i's y, lse and q̂ retire here.
-        for (Buf b : {Buf::kY, Buf::kLse, Buf::kQhat}) lane.live.erase({b, i});
-      }
+      if (!run.caching) lane.live.erase({Buf::kY, i});  // nothing feeds a backward
       break;
     }
     case OpKind::kFfnBackward: {

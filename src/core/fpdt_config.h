@@ -42,15 +42,14 @@ struct FpdtConfig {
   // to chunk-wise recompute (plain activation checkpointing).
   bool cache_forward_outputs = true;
 
-  // ZeRO stage composed with the sequence-parallel group (parallel/zero/):
-  //   -1  seed behavior — no model-state residency accounting, replicated
-  //       optimizer (every pre-ZeRO test and bench keeps its exact numbers);
-  //    0  replicated params/grads/optimizer, but *accounted*: the trainer
-  //       attaches a zero::ZeroEngine that charges 2N+2N+12N logical bytes
-  //       per rank (the conformance oracle);
+  // ZeRO stage composed with the sequence-parallel group (parallel/zero/),
+  // 0..3; the trainer's zero::ZeroEngine charges the stage's model state to
+  // every rank's HBM pool:
+  //    0  replicated params/grads/optimizer, 2N+2N+12N logical bytes per
+  //       rank (the conformance oracle);
   //  1-3  ZeRO-1/2/3 partitioning per Rajbhandari et al. (2020); every
   //       stage is bit-identical to stage 0 (tests/test_zero.cpp).
-  int zero_stage = -1;
+  int zero_stage = 0;
 
   // Physical grid shape (topo/topology.h): ranks per node of the emulated
   // fleet. 0 (the default) keeps the seed's flat fabric. When it divides the

@@ -9,14 +9,11 @@ FpdtTrainer::FpdtTrainer(nn::Model& model, int world, FpdtConfig cfg,
                          std::int64_t hbm_capacity_bytes, BlockExecutorFactory make_executor)
     : model_(&model),
       env_(world, cfg, hbm_capacity_bytes),
-      sharder_(world, cfg.chunks_per_rank) {
+      sharder_(world, cfg.chunks_per_rank),
+      zero_(model, env_, zero::ZeroConfig{cfg.zero_stage}) {
   executors_.reserve(model.blocks().size());
   for (std::size_t l = 0; l < model.blocks().size(); ++l) {
     executors_.push_back(make_executor(model.blocks()[l], static_cast<std::int64_t>(l), env_));
-  }
-  if (cfg.zero_stage >= 0) {
-    zero_ = std::make_unique<zero::ZeroEngine>(model, env_,
-                                               zero::ZeroConfig{cfg.zero_stage});
   }
 }
 
@@ -60,7 +57,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
   h.reserve(static_cast<std::size_t>(P));
   {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "embed");
-    zero::GroupScope zs(zero_.get(), "embed", walk_embed(), /*grad_bucket=*/false);
+    zero::GroupScope zs(zero_, "embed", walk_embed(), /*grad_bucket=*/false);
     env_.compute_ranks("embed", [&](int r) {
       h.push_back(model_->embedding().forward(shards[static_cast<std::size_t>(r)].inputs));
     });
@@ -75,7 +72,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
     for (std::size_t l = 0; l < executors_.size(); ++l) {
       // ZeRO-3: this block's params are gathered only for its execution
       // window — the working set stays one layer, not the whole model.
-      zero::GroupScope zs(zero_.get(), "block" + std::to_string(l), walk_block(l),
+      zero::GroupScope zs(zero_, "block" + std::to_string(l), walk_block(l),
                           /*grad_bucket=*/false);
       block_inputs.push_back(h);
       h = executors_[l]->forward(h);
@@ -93,7 +90,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "loss_head");
     // forward_backward computes head/norm grads here, so the ZeRO-2/3 grad
     // bucket is live for this window.
-    zero::GroupScope zs(zero_.get(), "head", walk_head(), /*grad_bucket=*/true);
+    zero::GroupScope zs(zero_, "head", walk_head(), /*grad_bucket=*/true);
     env_.compute_ranks("loss", [&](int r) {
       nn::NormStats st;
       Tensor hn = model_->final_norm().forward(h[static_cast<std::size_t>(r)], st);
@@ -110,7 +107,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
   {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "blocks.backward");
     for (std::size_t l = executors_.size(); l-- > 0;) {
-      zero::GroupScope zs(zero_.get(), "block" + std::to_string(l), walk_block(l),
+      zero::GroupScope zs(zero_, "block" + std::to_string(l), walk_block(l),
                           /*grad_bucket=*/true);
       dh = executors_[l]->backward(dh, block_inputs[l]);
     }
@@ -119,7 +116,7 @@ double FpdtTrainer::train_step_grads(const std::vector<std::int32_t>& tokens) {
   // ---- Embedding backward per rank.
   {
     FPDT_TRACE_SCOPE(obs::kCatPhase, "embed.backward");
-    zero::GroupScope zs(zero_.get(), "embed", walk_embed(), /*grad_bucket=*/true);
+    zero::GroupScope zs(zero_, "embed", walk_embed(), /*grad_bucket=*/true);
     env_.compute_ranks("bwd.embed", [&](int r) {
       model_->embedding().backward(dh[static_cast<std::size_t>(r)],
                                    shards[static_cast<std::size_t>(r)].inputs);

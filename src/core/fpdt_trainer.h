@@ -33,7 +33,8 @@ namespace fpdt::core {
 class FpdtTrainer {
  public:
   // hbm_capacity < 0 = unlimited. A finite capacity makes the trainer throw
-  // OutOfMemoryError exactly where a real run would OOM.
+  // OutOfMemoryError exactly where a real run would OOM. Throws FpdtError
+  // when cfg.zero_stage is outside 0..3.
   FpdtTrainer(nn::Model& model, int world, FpdtConfig cfg,
               std::int64_t hbm_capacity_bytes = -1,
               BlockExecutorFactory make_executor = &FpdtBlockExecutor::create);
@@ -51,8 +52,9 @@ class FpdtTrainer {
   FpdtEnv& env() { return env_; }
   nn::Model& model() { return *model_; }
 
-  // Attached when cfg.zero_stage >= 0 (nullptr at the seed's -1 sentinel).
-  zero::ZeroEngine* zero_engine() { return zero_.get(); }
+  // The model-state residency of cfg.zero_stage (0..3), charged on every
+  // rank's HBM pool for the trainer's lifetime.
+  zero::ZeroEngine& zero_engine() { return zero_; }
 
  private:
   // Walks one parameter group for ZeRO gather/bucket windows.
@@ -63,8 +65,8 @@ class FpdtTrainer {
   nn::Model* model_;
   FpdtEnv env_;
   data::RankOrdinalSharder sharder_;
+  zero::ZeroEngine zero_;
   std::vector<std::unique_ptr<BlockExecutor>> executors_;
-  std::unique_ptr<zero::ZeroEngine> zero_;
 };
 
 }  // namespace fpdt::core

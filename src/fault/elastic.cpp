@@ -111,7 +111,7 @@ WorldPlan ElasticWorldManager::plan_world(int max_world) const {
     if (o.hbm_capacity_bytes > 0) req.hbm_budget_bytes = o.hbm_capacity_bytes;
     // Re-plan only the chunking: every other knob keeps its live setting so
     // the resumed run stays on the configuration the operator chose.
-    req.space.zero_stages = {std::max(o.cfg.zero_stage, 0)};
+    req.space.zero_stages = {o.cfg.zero_stage};
     req.space.ffn_chunk_multipliers = {o.cfg.ffn_chunk_multiplier};
     req.space.lm_head_chunks = {o.cfg.lm_head_chunks};
     req.space.offload = {o.cfg.offload};

@@ -22,10 +22,10 @@ ResilientTrainer::ResilientTrainer(const ResilientOptions& opt)
       s_global_(static_cast<std::int64_t>(opt.world) * opt.cfg.chunks_per_rank *
                 opt.chunk_tokens),
       model_(std::make_unique<nn::Model>(opt.model, opt.model_seed)),
-      adam_(opt.lr),
+      trainer_(build_trainer()),
+      optimizer_(trainer_->env(), zero::ZeroConfig{opt.cfg.zero_stage}, opt.lr),
       corpus_(opt.model.vocab, opt.data_seed) {
   FPDT_CHECK_GE(opt_.max_step_retries, 1) << " resilient step retry budget";
-  rebuild_trainer();
   // The elastic twin starts from a frozen reshard restore point rather than
   // fresh initialization.
   if (!opt_.restore_from.empty()) restore_snapshot(opt_.restore_from);
@@ -37,24 +37,14 @@ ResilientTrainer::ResilientTrainer(const ResilientOptions& opt)
 
 ResilientTrainer::~ResilientTrainer() = default;
 
+std::unique_ptr<core::FpdtTrainer> ResilientTrainer::build_trainer() const {
+  return std::make_unique<core::FpdtTrainer>(*model_, opt_.world, opt_.cfg,
+                                             opt_.hbm_capacity_bytes);
+}
+
 void ResilientTrainer::rebuild_trainer() {
-  // The sharded optimizer is bound to the trainer's env (its collectives,
-  // streams, pools); carry its state across the rebuild and re-bind it.
-  zero::ShardedAdamState saved_shards;
-  std::int64_t saved_t = 0;
-  if (zopt_ != nullptr) {
-    saved_shards = std::move(zopt_->mutable_shards());
-    saved_t = zopt_->step_count();
-    zopt_.reset();  // before its env dies with the old trainer
-  }
-  trainer_ = std::make_unique<core::FpdtTrainer>(*model_, opt_.world, opt_.cfg,
-                                                 opt_.hbm_capacity_bytes);
-  if (opt_.cfg.zero_stage >= 1) {
-    zopt_ = std::make_unique<zero::ShardedOptimizer>(
-        trainer_->env(), zero::ZeroConfig{opt_.cfg.zero_stage}, opt_.lr);
-    zopt_->set_shards(std::move(saved_shards));
-    zopt_->set_step_count(saved_t);
-  }
+  trainer_ = build_trainer();
+  optimizer_.rebind(trainer_->env());
 }
 
 void ResilientTrainer::double_chunks_or_rethrow() {
@@ -107,12 +97,7 @@ StepOutcome ResilientTrainer::train_step() {
         throw FpdtError("injected crash: step " + std::to_string(step_) +
                         " lost before the optimizer update");
       }
-      const auto walk = [&](const nn::ParamVisitor& v) { model_->visit_params(v); };
-      if (zopt_ != nullptr) {
-        zopt_->step(walk);
-      } else {
-        adam_.step(walk);
-      }
+      optimizer_.step([&](const nn::ParamVisitor& v) { model_->visit_params(v); });
       check_step_quiescent(trainer_->env());
       trainer_->env().synchronize_streams();
       out.loss = loss;
@@ -181,30 +166,29 @@ void ResilientTrainer::save_snapshot(const std::string& path) {
   nn::TrainingState ts;
   ts.step = step_;
   ts.streams["corpus"] = corpus_.save_state();
-  if (zopt_ != nullptr) {
-    nn::save_sharded_training_state(*model_, zopt_->mutable_shards(), zopt_->step_count(),
-                                    opt_.world, opt_.cfg.zero_stage, ts, path);
+  if (optimizer_.stage() >= 1) {
+    nn::save_sharded_training_state(*model_, optimizer_.mutable_shards(),
+                                    optimizer_.step_count(), opt_.world, optimizer_.stage(), ts,
+                                    path);
   } else {
-    nn::save_training_state(*model_, adam_, ts, path);
+    nn::save_training_state(*model_, optimizer_.reference(), ts, path);
   }
 }
 
 void ResilientTrainer::restore_snapshot(const std::string& path) {
   nn::TrainingState ts;
-  if (zopt_ != nullptr) {
+  if (optimizer_.stage() >= 1) {
     nn::ShardedAdamState shards;
-    nn::ShardedRestore sr = nn::load_sharded_training_state(
-        *model_, shards, opt_.world, opt_.cfg.zero_stage, path);
+    nn::ShardedRestore sr = nn::load_sharded_training_state(*model_, shards, opt_.world,
+                                                            optimizer_.stage(), path);
     ts = std::move(sr.state);
-    step_ = ts.step;
-    rebuild_trainer();  // re-bind zopt_ to the fresh env...
-    zopt_->set_shards(std::move(shards));  // ...then install the restored shards
-    zopt_->set_step_count(sr.adam_step);
+    optimizer_.set_shards(std::move(shards));
+    optimizer_.set_step_count(sr.adam_step);
   } else {
-    ts = nn::load_training_state(*model_, adam_, path);
-    step_ = ts.step;
-    rebuild_trainer();
+    ts = nn::load_training_state(*model_, optimizer_.reference(), path);
   }
+  step_ = ts.step;
+  rebuild_trainer();
   auto it = ts.streams.find("corpus");
   FPDT_CHECK(it != ts.streams.end()) << " snapshot missing the corpus stream state";
   corpus_.load_state(it->second);

@@ -42,7 +42,6 @@
 #include "core/fpdt_trainer.h"
 #include "data/synthetic_corpus.h"
 #include "fault/fault_injector.h"
-#include "nn/adam.h"
 #include "nn/model.h"
 #include "nn/model_config.h"
 #include "parallel/zero/sharded_optimizer.h"
@@ -99,7 +98,6 @@ class ResilientTrainer {
   std::int64_t tokens_per_step() const { return s_global_; }
   int world() const { return opt_.world; }
   nn::Model& model() { return *model_; }
-  nn::Adam& adam() { return adam_; }
   core::FpdtTrainer& trainer() { return *trainer_; }
   const core::FpdtConfig& cfg() const { return opt_.cfg; }
   const ResilientOptions& options() const { return opt_; }
@@ -107,10 +105,11 @@ class ResilientTrainer {
   // The membership manager when options().elastic, else nullptr.
   ElasticWorldManager* elastic() { return elastic_.get(); }
 
-  // The ZeRO-sharded optimizer when cfg.zero_stage >= 1, else nullptr (the
-  // replicated adam() path). Snapshots switch to the sharded envelope
-  // (FPDTZR01) so per-rank moment shards round-trip bitwise.
-  zero::ShardedOptimizer* sharded() { return zopt_.get(); }
+  // The optimizer at cfg.zero_stage. Stage 0 keeps replicated moments in
+  // optimizer().reference() (unsharded snapshots); stages 1-3 keep per-rank
+  // moment shards, and snapshots switch to the sharded envelope (FPDTZR01)
+  // so they round-trip bitwise.
+  zero::ShardedOptimizer& optimizer() { return optimizer_; }
 
   // Full TrainingState snapshot / restore (params + Adam moments + corpus
   // stream + step counter). Restore rebuilds the trainer from scratch.
@@ -118,6 +117,9 @@ class ResilientTrainer {
   void restore_snapshot(const std::string& path);
 
  private:
+  std::unique_ptr<core::FpdtTrainer> build_trainer() const;
+  // Replaces the trainer (new chunking or world) and re-binds the optimizer
+  // to its env; optimizer state carries over.
   void rebuild_trainer();
   void double_chunks_or_rethrow();
   // Commits a membership change: new world + chunks (s_global held
@@ -129,10 +131,7 @@ class ResilientTrainer {
   std::int64_t s_global_ = 0;
   std::unique_ptr<nn::Model> model_;
   std::unique_ptr<core::FpdtTrainer> trainer_;
-  nn::Adam adam_;
-  // cfg.zero_stage >= 1: the partitioned optimizer, bound to the current
-  // trainer's env (rebuilt with it; moment shards carry over).
-  std::unique_ptr<zero::ShardedOptimizer> zopt_;
+  zero::ShardedOptimizer optimizer_;  // bound to trainer_'s env
   data::SyntheticCorpus corpus_;
   std::unique_ptr<ElasticWorldManager> elastic_;
   std::int64_t step_ = 0;

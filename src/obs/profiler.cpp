@@ -13,7 +13,6 @@
 #include "kernels/backend.h"
 #include "core/fpdt_trainer.h"
 #include "data/synthetic_corpus.h"
-#include "nn/adam.h"
 #include "nn/model.h"
 #include "nn/model_config.h"
 #include "obs/metrics.h"
@@ -299,14 +298,10 @@ ProfileResult run_profile(const ProfileOptions& opt) {
   std::int64_t n_params = 0;
   model.visit_params([&](nn::Param& p) { n_params += p.value.numel(); });
 
-  // zero_stage >= 0 routes the update through the ZeRO sharded optimizer
-  // (stage 0 delegates to the same replicated Adam, so every stage's loss
-  // stays bit-identical to the seed path — tests/test_zero.cpp's contract).
-  nn::Adam adam(1e-3);
-  std::unique_ptr<zero::ShardedOptimizer> zopt;
-  if (tcfg.zero_stage >= 0) {
-    zopt = std::make_unique<zero::ShardedOptimizer>(*env, zero::ZeroConfig{tcfg.zero_stage});
-  }
+  // Every stage updates through the ZeRO sharded optimizer (stage 0
+  // delegates to the replicated nn::Adam; stages 1-3 stay bit-identical to
+  // it — tests/test_zero.cpp's contract).
+  zero::ShardedOptimizer optimizer(*env, zero::ZeroConfig{tcfg.zero_stage});
   data::SyntheticCorpus corpus(cfg.vocab, 7);
   StepProfiler profiler(*env, opt.hw);
 
@@ -318,12 +313,7 @@ ProfileResult run_profile(const ProfileOptions& opt) {
     const auto wall_begin = std::chrono::steady_clock::now();
     const std::clock_t cpu_begin = std::clock();
     const double loss = trainer->train_step_grads(tokens);
-    const auto walk = [&](const nn::ParamVisitor& v) { model.visit_params(v); };
-    if (zopt) {
-      zopt->step(walk);
-    } else {
-      adam.step(walk);
-    }
+    optimizer.step([&](const nn::ParamVisitor& v) { model.visit_params(v); });
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
     const double cpu_s =

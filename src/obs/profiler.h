@@ -138,8 +138,9 @@ struct ProfileOptions {
 
   // Trainer config before the strategy's preset (profile_config). Its
   // chunks_per_rank sizes the step for every strategy (s_global = world ·
-  // chunks_per_rank · chunk_tokens); zero_stage >= 0 runs the ZeRO
-  // ShardedOptimizer; kernel_backend covers the whole run, model init too.
+  // chunks_per_rank · chunk_tokens); zero_stage picks the ZeRO
+  // ShardedOptimizer's stage; kernel_backend covers the whole run, model
+  // init too.
   core::FpdtConfig cfg;
 
   // Per-device HBM capacity in bytes; < 0 = unlimited (the default).

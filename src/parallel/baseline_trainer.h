@@ -16,11 +16,10 @@ using BaselineKind = Strategy;
 
 class BaselineTrainer : public core::FpdtTrainer {
  public:
-  // zero_stage: -1 = seed behavior (no model-state accounting); 0-3 attach
-  // a zero::ZeroEngine (DeepSpeed Ulysses runs with ZeRO-3 in the paper's
+  // zero_stage 0..3 (DeepSpeed Ulysses runs with ZeRO-3 in the paper's
   // evaluation, §5.1).
   BaselineTrainer(nn::Model& model, int world, BaselineKind kind,
-                  std::int64_t hbm_capacity_bytes = -1, int zero_stage = -1)
+                  std::int64_t hbm_capacity_bytes = -1, int zero_stage = 0)
       : core::FpdtTrainer(model, world, preset(kind, zero_stage), hbm_capacity_bytes,
                           executor_factory(kind)) {}
 

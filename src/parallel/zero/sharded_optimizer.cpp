@@ -22,7 +22,7 @@ ShardedOptimizer::ShardedOptimizer(core::FpdtEnv& env, ZeroConfig cfg, double lr
       weight_decay_(weight_decay),
       reference_(lr, beta1, beta2, eps, weight_decay) {
   FPDT_CHECK(cfg_.stage >= 0 && cfg_.stage <= 3)
-      << " invalid ZeRO stage " << cfg_.stage;
+      << " ZeRO stage " << cfg_.stage << " is outside 0..3";
 }
 
 void ShardedOptimizer::set_lr(double lr) {
@@ -81,12 +81,11 @@ void ShardedOptimizer::sharded_step(
 
     // reduce-scatter([g, 0, ..., 0]) — the sum is g bitwise (up to -0 → +0,
     // invisible to Adam's arithmetic), and rank r receives exactly its
-    // owned slice through the traced, fault-injectable collective.
-    std::vector<Tensor> contrib(static_cast<std::size_t>(world));
-    contrib[0] = flat_g;
-    for (int r = 1; r < world; ++r) {
-      contrib[static_cast<std::size_t>(r)] = Tensor::zeros({s * world});
-    }
+    // owned slice through the traced, fault-injectable collective. The
+    // collective only reads its inputs, so ranks 1..P-1 share one zero
+    // tensor.
+    std::vector<Tensor> contrib{flat_g};
+    if (world > 1) contrib.resize(static_cast<std::size_t>(world), Tensor::zeros({s * world}));
     const std::vector<Tensor> grad_shards = pg.reduce_scatter(contrib);
 
     std::vector<nn::Adam::Moments>& mom = ensure_shards(p);

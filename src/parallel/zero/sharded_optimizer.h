@@ -44,6 +44,10 @@ class ShardedOptimizer {
                    double beta1 = 0.9, double beta2 = 0.95, double eps = 1e-8,
                    double weight_decay = 0.0);
 
+  // Re-binds the optimizer to a rebuilt trainer's env (its collectives);
+  // moments, shards and the step count carry over.
+  void rebind(core::FpdtEnv& env) { env_ = &env; }
+
   int stage() const { return cfg_.stage; }
   double lr() const { return stage() >= 1 ? lr_ : reference_.lr(); }
   void set_lr(double lr);

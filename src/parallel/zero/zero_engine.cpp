@@ -29,7 +29,7 @@ std::int64_t sum_numel(const std::vector<nn::Param*>& params) {
 ZeroEngine::ZeroEngine(nn::Model& model, core::FpdtEnv& env, ZeroConfig cfg)
     : model_(&model), env_(&env), cfg_(cfg) {
   FPDT_CHECK(cfg_.stage >= 0 && cfg_.stage <= 3)
-      << " invalid ZeRO stage " << cfg_.stage;
+      << " ZeRO stage " << cfg_.stage << " is outside 0..3";
   const int world = env_->world();
   // Shards are ceil(numel / P) per parameter: the analytic model divides
   // exactly, and the difference is the padding bound tests tolerate.

@@ -101,31 +101,27 @@ class ZeroEngine {
 
 // RAII window for one group's execution: gathers params on entry (stage 3),
 // optionally charges the backward grad bucket (stage >= 2), releases both on
-// exit. Null engine = no-op, so trainers wrap phases unconditionally.
+// exit. Below those stages the engine calls are no-ops, so trainers wrap
+// every phase unconditionally.
 class GroupScope {
  public:
-  GroupScope(ZeroEngine* engine, std::string key, ParamWalk walk, bool grad_bucket)
-      : engine_(engine), key_(std::move(key)) {
-    if (engine_ == nullptr) return;
-    engine_->gather_group(key_, walk);
-    if (grad_bucket) {
-      engine_->charge_grad_bucket(key_, walk);
-      bucket_ = true;
-    }
+  GroupScope(ZeroEngine& engine, std::string key, const ParamWalk& walk, bool grad_bucket)
+      : engine_(engine), key_(std::move(key)), bucket_(grad_bucket) {
+    engine_.gather_group(key_, walk);
+    if (bucket_) engine_.charge_grad_bucket(key_, walk);
   }
   ~GroupScope() {
-    if (engine_ == nullptr) return;
-    if (bucket_) engine_->release_grad_bucket(key_);
-    engine_->release_group(key_);
+    if (bucket_) engine_.release_grad_bucket(key_);
+    engine_.release_group(key_);
   }
 
   GroupScope(const GroupScope&) = delete;
   GroupScope& operator=(const GroupScope&) = delete;
 
  private:
-  ZeroEngine* engine_ = nullptr;
+  ZeroEngine& engine_;
   std::string key_;
-  bool bucket_ = false;
+  bool bucket_;
 };
 
 }  // namespace fpdt::zero

@@ -41,9 +41,7 @@ Candidate make_candidate(core::FpdtConfig cfg, int world, std::int64_t s_global)
   Candidate c;
   c.cfg = cfg;
   c.strategy = perfmodel::Strategy::fpdt();
-  // ZeRO stage -1 (seed sentinel, no model-state accounting) prices like the
-  // fully replicated stage 0.
-  c.strategy.zero_stage = cfg.zero_stage < 0 ? 0 : cfg.zero_stage;
+  c.strategy.zero_stage = cfg.zero_stage;
   // The analytic model thinks in *global* chunk tokens (§5.3); u local
   // chunks per rank over P ranks means s_global / u tokens per global chunk.
   c.strategy.fpdt_chunk_tokens = s_global / cfg.chunks_per_rank;

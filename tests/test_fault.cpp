@@ -236,19 +236,19 @@ TEST_F(FaultTest, CrashRestoresAndReplaysBitwise) {
   std::vector<Tensor> pv, pm, pvv;
   clean->model().visit_params([&](nn::Param& p) {
     pv.push_back(p.value);
-    const nn::Adam::Moments& mom = clean->adam().ensure_moments(p);
+    const nn::Adam::Moments& mom = clean->optimizer().reference().ensure_moments(p);
     pm.push_back(mom.m);
     pvv.push_back(mom.v);
   });
   std::size_t i = 0;
   faulted->model().visit_params([&](nn::Param& p) {
     EXPECT_EQ(max_abs_diff(pv[i], p.value), 0.0) << p.name;
-    const nn::Adam::Moments& mom = faulted->adam().ensure_moments(p);
+    const nn::Adam::Moments& mom = faulted->optimizer().reference().ensure_moments(p);
     EXPECT_EQ(max_abs_diff(pm[i], mom.m), 0.0) << p.name << ".m";
     EXPECT_EQ(max_abs_diff(pvv[i], mom.v), 0.0) << p.name << ".v";
     ++i;
   });
-  EXPECT_EQ(faulted->adam().step_count(), clean->adam().step_count());
+  EXPECT_EQ(faulted->optimizer().step_count(), clean->optimizer().step_count());
   EXPECT_EQ(faulted->step(), clean->step());
 }
 
@@ -277,9 +277,9 @@ TEST_F(FaultTest, Zero3CrashResumeRestoresShardsBitwise) {
   EXPECT_TRUE(restored);
   EXPECT_FALSE(clean_restored);
 
-  ASSERT_NE(faulted->sharded(), nullptr);
-  ASSERT_NE(clean->sharded(), nullptr);
-  EXPECT_EQ(faulted->sharded()->step_count(), clean->sharded()->step_count());
+  ASSERT_EQ(faulted->optimizer().stage(), 3);
+  ASSERT_EQ(clean->optimizer().stage(), 3);
+  EXPECT_EQ(faulted->optimizer().step_count(), clean->optimizer().step_count());
   EXPECT_EQ(faulted->step(), clean->step());
 
   std::vector<Tensor> pv;
@@ -290,8 +290,8 @@ TEST_F(FaultTest, Zero3CrashResumeRestoresShardsBitwise) {
     ++i;
   });
 
-  const zero::ShardedAdamState& cs = clean->sharded()->shards();
-  const zero::ShardedAdamState& fs = faulted->sharded()->shards();
+  const zero::ShardedAdamState& cs = clean->optimizer().shards();
+  const zero::ShardedAdamState& fs = faulted->optimizer().shards();
   ASSERT_EQ(cs.size(), fs.size());
   for (const auto& [name, ranks] : cs) {
     ASSERT_EQ(fs.count(name), 1u) << name;

@@ -29,6 +29,7 @@
 #include "parallel/zero/zero_engine.h"
 #include "perfmodel/memory_model.h"
 #include "perfmodel/strategy.h"
+#include "tools/cli_args.h"
 
 namespace fpdt {
 namespace {
@@ -150,11 +151,13 @@ TEST(ZeroConformance, Stage3MatchesUnshardedAdamReference) {
   const std::int64_t chunks = 2, chunk_tokens = 32;
   const std::int64_t s_global = world * chunks * chunk_tokens;
 
-  // Reference: seed-behavior trainer (zero_stage = -1) + replicated Adam.
+  // Reference: stage-0 trainer + a plain replicated nn::Adam, independent of
+  // ShardedOptimizer.
   nn::Model ref_model(cfg, 4242);
-  core::FpdtConfig seed_cfg;
-  seed_cfg.chunks_per_rank = chunks;
-  core::FpdtTrainer ref_trainer(ref_model, world, seed_cfg);
+  core::FpdtConfig ref_cfg;
+  ref_cfg.chunks_per_rank = chunks;
+  ref_cfg.zero_stage = 0;
+  core::FpdtTrainer ref_trainer(ref_model, world, ref_cfg);
   nn::Adam adam(1e-3);
   data::SyntheticCorpus c1(cfg.vocab, 31);
   std::vector<double> ref_losses;
@@ -231,8 +234,7 @@ TEST(ZeroFootprintOracle, MeasuredResidencyMatchesAnalyticModelPerStage) {
       fcfg.chunks_per_rank = chunks;
       fcfg.zero_stage = stage;
       core::FpdtTrainer trainer(model, world, fcfg);
-      ASSERT_NE(trainer.zero_engine(), nullptr);
-      const zero::ResidentBytes measured = trainer.zero_engine()->resident(0);
+      const zero::ResidentBytes measured = trainer.zero_engine().resident(0);
 
       perfmodel::Strategy st = perfmodel::Strategy::fpdt();
       st.zero_stage = stage;
@@ -287,8 +289,8 @@ TEST(ZeroFootprintOracle, Stage3ResidencyIsOneOverPOfReplicated) {
   f0.zero_stage = 0;
   f3.zero_stage = 3;
   core::FpdtTrainer t0(m0, world, f0), t3(m3, world, f3);
-  const std::int64_t replicated = t0.zero_engine()->resident(0).total();
-  const std::int64_t sharded = t3.zero_engine()->resident(0).total();
+  const std::int64_t replicated = t0.zero_engine().resident(0).total();
+  const std::int64_t sharded = t3.zero_engine().resident(0).total();
   // Shard totals exceed replicated/P only by the per-parameter ceil padding.
   EXPECT_TRUE(within_tolerance(sharded, replicated / world))
       << "stage-3 resident " << sharded << " vs stage-0/" << world << " = "
@@ -304,8 +306,7 @@ TEST(ZeroEngineResidency, GatherChargesAndReleasesWorkingBuffer) {
   core::FpdtConfig fcfg;
   fcfg.zero_stage = 3;
   core::FpdtTrainer trainer(model, 2, fcfg);
-  zero::ZeroEngine* eng = trainer.zero_engine();
-  ASSERT_NE(eng, nullptr);
+  zero::ZeroEngine& eng = trainer.zero_engine();
 
   const std::int64_t base = trainer.env().device(0).hbm().used();
   const zero::ParamWalk walk = [&](const nn::ParamVisitor& v) {
@@ -314,11 +315,11 @@ TEST(ZeroEngineResidency, GatherChargesAndReleasesWorkingBuffer) {
   std::int64_t group_elems = 0;
   walk([&](nn::Param& p) { group_elems += p.value.numel(); });
 
-  eng->gather_group("block0", walk);
+  eng.gather_group("block0", walk);
   EXPECT_EQ(trainer.env().device(0).hbm().used() - base,
             group_elems * zero::kParamBytesPerElem);
-  EXPECT_THROW(eng->gather_group("block0", walk), FpdtError);
-  eng->release_group("block0");
+  EXPECT_THROW(eng.gather_group("block0", walk), FpdtError);
+  eng.release_group("block0");
   EXPECT_EQ(trainer.env().device(0).hbm().used(), base);
 }
 
@@ -475,6 +476,42 @@ TEST(RankOrdinalEdgeCases, LabelReorderMatchesTokenReorder) {
         EXPECT_EQ(s.labels[static_cast<std::size_t>(c * k + j)],
                   tokens[static_cast<std::size_t>(g0 + j + 1)]);
       }
+    }
+  }
+}
+
+// ---- Stage range -----------------------------------------------------------
+//
+// 0..3 are the only stages: a config built in code outside that range fails
+// when the trainer is built, and `--zero-stage` rejects it at parse time.
+TEST(ZeroStageRange, TrainerRejectsStageOutsideZeroToThree) {
+  const nn::ModelConfig cfg = nn::tiny_gpt();
+  for (int stage : {-1, 4}) {
+    nn::Model model(cfg, 7);
+    core::FpdtConfig fcfg;
+    fcfg.zero_stage = stage;
+    EXPECT_THROW(core::FpdtTrainer(model, 2, fcfg), FpdtError) << "stage " << stage;
+  }
+}
+
+TEST(ZeroStageRange, CliFlagRejectsStageOutsideZeroToThree) {
+  const auto parse = [](std::string value) {
+    std::string flag = "--zero-stage";
+    char* argv[] = {flag.data(), value.data()};
+    int stage = -7;
+    cli::FlagParser f("profile", 2, argv, 0);
+    EXPECT_TRUE(f.match_in("--zero-stage", &stage, 0, 3));
+    return stage;
+  };
+  EXPECT_EQ(parse("0"), 0);
+  EXPECT_EQ(parse("3"), 3);
+  for (const char* bad : {"-1", "4", "two", "1x", ""}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << "accepted --zero-stage '" << bad << "'";
+    } catch (const FpdtError& e) {
+      EXPECT_NE(std::string(e.what()).find("--zero-stage must be in 0..3"), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -54,6 +54,21 @@ class FlagParser {
     return true;
   }
 
+  // Integer restricted to lo..hi: a value outside the range, or one that is
+  // not a number, throws FpdtError naming the legal range.
+  bool match_in(const char* name, int* out, int lo, int hi) {
+    if (!is(name)) return false;
+    const char* v = value(name);
+    char* end = nullptr;
+    const long n = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || n < lo || n > hi) {
+      throw FpdtError(cmd_ + ": " + name + " must be in " + std::to_string(lo) + ".." +
+                      std::to_string(hi) + ", got '" + v + "'");
+    }
+    *out = static_cast<int>(n);
+    return true;
+  }
+
   // "64K"/"2M"-suffixed counts (binary multiples, common/units.h); used for
   // token counts and byte budgets alike.
   bool match_tokens(const char* name, std::int64_t* out) {

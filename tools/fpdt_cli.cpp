@@ -85,7 +85,7 @@ int usage() {
                "  fpdt overlap [gpus=2] [chunks=4] [chunk_tokens=64] [--trace out.json]\n"
                "  fpdt profile [--steps 2] [--gpus 2] [--chunks 4] [--chunk-tokens 64]\n"
                "               [--strategy fpdt|ulysses|megatron-sp|ring] [--model tiny-gpt]\n"
-               "               [--zero-stage -1..3] [--backend scalar|simd]\n"
+               "               [--zero-stage 0..3] [--backend scalar|simd]\n"
                "               [--hw a100-nvlink|a100-40g|pcie-host]\n"
                "               [--ranks-per-node R] [--head-degree H]\n"
                "               [--trace trace.json] [--metrics metrics.json] [--no-trace]\n"
@@ -275,7 +275,7 @@ int cmd_profile(int argc, char** argv, int base) {
     if (f.match("--trace", &opt.trace_path)) continue;
     if (f.match("--metrics", &opt.metrics_path)) continue;
     if (f.match_set("--no-trace", &opt.trace, false)) continue;
-    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
+    if (f.match_in("--zero-stage", &opt.cfg.zero_stage, 0, 3)) continue;
     if (f.match("--backend", &opt.cfg.kernel_backend)) continue;
     if (f.match("--hw", &hw_name)) continue;
     if (f.match("--ranks-per-node", &opt.cfg.ranks_per_node)) continue;
@@ -288,9 +288,8 @@ int cmd_profile(int argc, char** argv, int base) {
   const obs::ProfileResult res = obs::run_profile(opt);
 
   std::cout << "profiled " << opt.steps << " " << opt.strategy << " steps, " << opt.world
-            << " GPUs, " << format_token_count(res.tokens_per_step) << " tokens/step";
-  if (opt.cfg.zero_stage >= 0) std::cout << ", zero-" << opt.cfg.zero_stage;
-  std::cout << ", kernels "
+            << " GPUs, " << format_token_count(res.tokens_per_step) << " tokens/step, zero-"
+            << opt.cfg.zero_stage << ", kernels "
             << (opt.cfg.kernel_backend.empty() ? kernels::active_name() : opt.cfg.kernel_backend);
   std::cout << "\n";
   TextTable t({"step", "loss", "virtual", "wall", "tok/s", "mfu", "par_eff", "overlap",
@@ -358,7 +357,7 @@ int cmd_footprint(int argc, char** argv, int base) {
     opt.step([&](const nn::ParamVisitor& v) { model.visit_params(v); });
     trainer.env().synchronize_streams();
 
-    const zero::ResidentBytes meas = trainer.zero_engine()->resident(0);
+    const zero::ResidentBytes meas = trainer.zero_engine().resident(0);
     Strategy st = Strategy::fpdt();
     st.zero_stage = stage;
     st.fpdt_chunk_tokens = chunk_tokens * gpus;  // global chunk
@@ -401,7 +400,7 @@ int cmd_chaos(int argc, char** argv, int base) {
     if (f.match("--seed", &opt.seed)) continue;
     if (f.match("--ckpt", &opt.checkpoint_path)) continue;
     if (f.match_set("--no-verify", &opt.verify_against_clean, false)) continue;
-    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
+    if (f.match_in("--zero-stage", &opt.cfg.zero_stage, 0, 3)) continue;
     f.unknown();
   }
 
@@ -434,7 +433,7 @@ int cmd_elastic(int argc, char** argv, int base) {
     if (f.match("--seed", &opt.seed)) continue;
     if (f.match("--ckpt", &opt.checkpoint_path)) continue;
     if (f.match_set("--no-verify", &opt.verify_twin, false)) continue;
-    if (f.match("--zero-stage", &opt.cfg.zero_stage)) continue;
+    if (f.match_in("--zero-stage", &opt.cfg.zero_stage, 0, 3)) continue;
     if (f.match("--ranks-per-node", &opt.cfg.ranks_per_node)) continue;
     if (f.match("--head-degree", &opt.cfg.head_degree)) continue;
     if (f.match_set("--keep-ckpt", &opt.keep_checkpoint, true)) continue;
