@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
   // model state every trainer charges, the full-sequence working set of the
   // monolithic (Ulysses, 1-chunk) executor does not fit, the chunked one
   // does. Scaled-down version of the paper's Fig. 11 OOM walls.
+  nn::Model model(cfg, 99);  // trained by FPDT in attempt 2
   std::int64_t n_params = 0;
-  nn::Model(cfg, 99).visit_params([&](nn::Param& p) { n_params += p.value.numel(); });
-  const std::int64_t model_state =
-      n_params * (zero::kParamBytesPerElem + zero::kGradBytesPerElem + zero::kOptimBytesPerElem);
+  model.visit_params([&](nn::Param& p) { n_params += p.value.numel(); });
+  const std::int64_t model_state = n_params * zero::kModelStateBytesPerElem;
   const std::int64_t hbm_cap = model_state + seq_len * cfg.d_model * 2 * 3;
 
   std::cout << "sequence " << format_token_count(seq_len) << ", HBM cap/GPU "
@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
 
   // ---- Attempt 1: no chunking (Ulysses-style execution).
   {
-    nn::Model model(cfg, 99);
+    nn::Model mono_model(cfg, 99);
     core::FpdtConfig mono;
     mono.chunks_per_rank = 1;
     mono.offload = false;
     mono.cache_forward_outputs = false;
-    core::FpdtTrainer trainer(model, world, mono, hbm_cap);
+    core::FpdtTrainer trainer(mono_model, world, mono, hbm_cap);
     try {
       trainer.train_step_grads(corpus.sample(seq_len + 1));
       std::cout << "[unexpected] monolithic execution fit in the cap\n";
@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- Attempt 2: FPDT — 8 chunks per rank, offloaded, double-buffered.
-  nn::Model model(cfg, 99);
   core::FpdtConfig fcfg;
   fcfg.chunks_per_rank = 8;
   fcfg.offload = true;

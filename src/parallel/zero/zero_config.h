@@ -38,5 +38,8 @@ inline std::int64_t shard_elems(std::int64_t numel, int world) {
 inline constexpr std::int64_t kParamBytesPerElem = 2;
 inline constexpr std::int64_t kGradBytesPerElem = 2;
 inline constexpr std::int64_t kOptimBytesPerElem = 12;
+// Everything stage 0 keeps resident per parameter element.
+inline constexpr std::int64_t kModelStateBytesPerElem =
+    kParamBytesPerElem + kGradBytesPerElem + kOptimBytesPerElem;
 
 }  // namespace fpdt::zero
